@@ -190,8 +190,8 @@ func BenchmarkMCMCSerial(b *testing.B)   { benchMCMC(b, 1) }
 func BenchmarkMCMCParallel(b *testing.B) { benchMCMC(b, 0) }
 
 // BenchmarkExperimentsSuite runs a representative slice of the registry
-// (the per-data-point sweeps the harness fans out) serially vs across
-// the worker pool, tracking the suite-level speedup in the bench
+// (the per-data-point sweeps the harness fans out) on a pool of one vs
+// the full worker pool (SetWorkers), tracking the suite-level speedup in the bench
 // trajectory. The optimality and case-study runners are excluded — their
 // cost is dominated by one exhaustive DFS and an 8x-budget search, which
 // BenchmarkMCMC* and the search package's own tests already cover.
@@ -202,8 +202,11 @@ func BenchmarkExperimentsSuite(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
+			if mode.workers > 0 {
+				defer SetWorkers(WorkerBound())
+				SetWorkers(mode.workers)
+			}
 			s := benchScale()
-			s.Workers = mode.workers
 			for i := 0; i < b.N; i++ {
 				for _, id := range ids {
 					if _, err := experiments.Run(context.Background(), id, s); err != nil {
@@ -436,45 +439,6 @@ func benchProposalThroughput(b *testing.B, model string, factor int) {
 	}
 }
 
-// BenchmarkMCMCProposalBatch is the Options.ProposalBatch sweep behind
-// the measured default (search.DefaultProposalBatch): one single-chain
-// delta-mode MCMC walk per op at each batch size, on the small and the
-// 50k-task synthetic class, with the default Beta (so acceptance rates
-// are the realistic search regime, not a degenerate all-reject walk).
-// Each batch size is its own deterministic walk, so ns/op differences
-// are pure batching overhead/benefit: a round's later drafts are priced
-// against the pre-move point and discarded when an earlier draft wins.
-// The sweep is recorded in BENCH_pr9.json; re-run it (docs/EXPERIMENTS
-// .md) before moving the default.
-func BenchmarkMCMCProposalBatch(b *testing.B) {
-	for _, c := range []struct {
-		model  string
-		factor int
-		iters  int
-	}{
-		{"synth-2k", 1, 400},
-		{"synth-50k", 1, 24},
-	} {
-		g := benchGraph(b, c.model, c.factor)
-		topo := device.NewSingleNode(4, "P100")
-		initials := []*config.Strategy{config.DataParallel(g, topo)}
-		for _, batch := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/batch=%d", c.model, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					est := newEstimator()
-					opts := search.DefaultOptions()
-					opts.MaxIters = c.iters
-					opts.ProposalBatch = batch
-					res := search.MCMC(context.Background(), g, topo, est, initials, opts)
-					if res.Best == nil || res.Iters == 0 {
-						b.Fatalf("batch=%d: degenerate search: %+v", batch, res)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMCMCLocality is the proposal-locality sweep behind
 // Options.Locality (the PR 10 trajectory artifact, gated by
 // TestBenchPR10LocalityImproves): one single-chain delta-mode MCMC walk
@@ -498,7 +462,7 @@ func BenchmarkMCMCLocality(b *testing.B) {
 		g := benchGraph(b, c.model, 1)
 		topo := device.NewSingleNode(4, "P100")
 		initials := []*config.Strategy{config.DataParallel(g, topo)}
-		for _, loc := range []search.Locality{search.LocalityUniform, search.LocalityLateBiased, search.LocalityMeasured} {
+		for _, loc := range search.Localities() {
 			b.Run(fmt.Sprintf("%s/locality=%s", c.model, loc), func(b *testing.B) {
 				var best time.Duration
 				var suffix, iters int64

@@ -41,13 +41,13 @@ func TestFingerprintStable(t *testing.T) {
 	// The Locality option is result-affecting, so a set policy pins its
 	// own digest — and "" vs "uniform" are the same walk by contract,
 	// so they must share a key (the normalization the opts line hashes).
-	gotLate, err := Fingerprint(Problem{Graph: fpGraph(), Topology: NewSingleNode(4, "P100")}, "mcmc",
-		OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "late-biased"})
+	gotMeasured, err := Fingerprint(Problem{Graph: fpGraph(), Topology: NewSingleNode(4, "P100")}, "mcmc",
+		OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "measured"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLate == want {
-		t.Fatal("locality=late-biased shares the default key; the policy is result-affecting and must not alias")
+	if gotMeasured == want {
+		t.Fatal("locality=measured shares the default key; the policy is result-affecting and must not alias")
 	}
 	gotUniform, err := Fingerprint(Problem{Graph: fpGraph(), Topology: NewSingleNode(4, "P100")}, "mcmc",
 		OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "uniform"})
@@ -139,16 +139,18 @@ func TestFingerprintCollisions(t *testing.T) {
 	check("budget length", baseProblem(), "mcmc", OptimizeOptions{MaxIters: 100, Seed: 7, Budget: 2 * time.Second})
 	check("maxdegree", baseProblem(), "optcnn", OptimizeOptions{MaxDegree: 2})
 	check("maxcandidates", baseProblem(), "exhaustive", OptimizeOptions{MaxCandidatesPerOp: 3})
-	check("locality late-biased", baseProblem(), "mcmc", OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "late-biased"})
-	check("locality stratified", baseProblem(), "mcmc", OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "stratified"})
 	check("locality measured", baseProblem(), "mcmc", OptimizeOptions{MaxIters: 100, Seed: 7, Locality: "measured"})
 	g := fpGraph()
 	topo := NewSingleNode(4, "P100")
 	check("initial", Problem{Graph: g, Topology: topo}, "mcmc",
 		OptimizeOptions{MaxIters: 100, Seed: 7, Initial: DataParallel(g, topo)})
 
-	if _, err := Fingerprint(baseProblem(), "mcmc", OptimizeOptions{Locality: "nope"}); err == nil {
-		t.Error("unknown locality fingerprinted without error")
+	// The removed position-based policies are unknown names now, like
+	// any other: no key can be minted for them.
+	for _, name := range []string{"nope", "late-biased", "stratified"} {
+		if _, err := Fingerprint(baseProblem(), "mcmc", OptimizeOptions{Locality: name}); err == nil {
+			t.Errorf("unknown locality %q fingerprinted without error", name)
+		}
 	}
 }
 

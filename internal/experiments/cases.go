@@ -37,7 +37,7 @@ func CaseStudy(ctx context.Context, scale Scale, model string) *Table {
 	opts.Budget *= 2
 	res := search.MCMC(ctx, g, topo, est, search.Initials(g, topo, scale.Seed, true), opts)
 	best, ffTime := res.Best, res.BestCost
-	if polished, cost := search.Polish(ctx, g, topo, est, best, search.PolishOptions{Enum: enumForScale(scale, topo), MaxRounds: 2, Workers: scale.Workers}); cost < ffTime {
+	if polished, cost := search.Polish(ctx, g, topo, est, best, search.PolishOptions{Enum: enumForScale(scale, topo), MaxRounds: 2}); cost < ffTime {
 		best, ffTime = polished, cost
 	}
 	_, ffMetrics := evaluate(g, topo, est, best)

@@ -101,20 +101,6 @@ type Scale struct {
 	SearchBudget time.Duration
 	// Seed drives all randomized components.
 	Seed int64
-	// Workers caps the harness's share of the process-wide worker pool
-	// at every level it fans out — the registry's runners under
-	// Run("all"), each experiment's per-data-point loops, and the
-	// chains/subtrees inside each search (0 = the pool's full bound).
-	// All levels draw from the one shared pool, so nesting (runners x
-	// cells x chains) composes under the single global bound instead of
-	// multiplying. Cells are computed into fixed row slots, so row
-	// order never depends on scheduling, and the tables are identical
-	// for every Workers value and every pool size (the searches are
-	// worker-count deterministic, budgeted or not).
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping the harness.
-	Workers int
 }
 
 // Quick is the default scale for tests, benches and demos.
@@ -153,15 +139,14 @@ func (s Scale) searchOpts() search.Options {
 	o.MaxIters = s.SearchIters
 	o.Budget = s.SearchBudget
 	o.Seed = s.Seed
-	o.Workers = s.Workers
 	return o
 }
 
-// forEach runs fn(i) for every cell index in [0, n) across the scale's
+// forEach runs fn(i) for every cell index in [0, n) across the shared
 // worker pool. Cells write rows positionally so table order never
 // depends on scheduling.
 func (s Scale) forEach(n int, fn func(i int)) {
-	par.ForEach(s.Workers, n, fn)
+	par.ForEach(0, n, fn)
 }
 
 // rows computes n table rows across the worker pool, one cell per

@@ -12,7 +12,7 @@ import (
 var bg = context.Background()
 
 // testScale is deliberately tiny so the whole suite runs in seconds.
-// Workers is left at its zero value (NumCPU): together with t.Parallel()
+// The pool keeps its default bound (NumCPU): together with t.Parallel()
 // on every test this keeps the suite's wall clock near the single
 // slowest experiment rather than the sum of all of them.
 func testScale() Scale {

@@ -30,8 +30,8 @@ func GlobalOptimality(ctx context.Context, scale Scale) *Table {
 		{"rnnlm-2step", func() *graph.Graph { return models.RNNLM(16, 2) }},
 	}
 	// The exhaustive DFS dominates this experiment by orders of
-	// magnitude, so the parallelism goes inside it (Workers on
-	// ExhaustiveOptions) rather than across the two cases.
+	// magnitude, so the parallelism goes inside it (its subtrees fan
+	// out over the shared pool) rather than across the two cases.
 	rows := make([][]string, len(cases))
 	for i, c := range cases {
 		g := c.graph()
@@ -39,7 +39,6 @@ func GlobalOptimality(ctx context.Context, scale Scale) *Table {
 		ex := search.Exhaustive(ctx, g, topo, est, search.ExhaustiveOptions{
 			Enum:               enumForScale(scale, topo),
 			MaxCandidatesPerOp: 6,
-			Workers:            scale.Workers,
 		})
 		opts := scale.searchOpts()
 		opts.MaxIters = 4000
@@ -104,11 +103,11 @@ func LocalOptimality(ctx context.Context, scale Scale, modelNames []string, devi
 		// The optimizer finishes with a local-descent pass (see
 		// search.Polish), so the returned strategy is locally
 		// optimal by construction; verify it anyway.
-		polished, polishedCost := search.Polish(ctx, c.g, topo, est, res.Best, search.PolishOptions{Enum: enumForScale(scale, topo), Workers: scale.Workers})
+		polished, polishedCost := search.Polish(ctx, c.g, topo, est, res.Best, search.PolishOptions{Enum: enumForScale(scale, topo)})
 		if polishedCost < res.BestCost {
 			res.Best, res.BestCost = polished, polishedCost
 		}
-		best, improving, checked := search.Neighborhood(c.g, topo, est, res.Best, enumForScale(scale, topo), taskgraph.Options{}, scale.Workers)
+		best, improving, checked := search.Neighborhood(c.g, topo, est, res.Best, enumForScale(scale, topo), taskgraph.Options{}, 0)
 		locallyOpt := improving == nil || best >= res.BestCost
 		return []string{
 			c.name, fmt.Sprintf("%d", c.n), ms(res.BestCost),

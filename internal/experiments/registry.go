@@ -68,7 +68,7 @@ func Run(ctx context.Context, id string, scale Scale) ([]*Table, error) {
 				pooled = append(pooled, i)
 			}
 		}
-		par.ForEach(scale.Workers, len(pooled), func(k int) {
+		par.ForEach(0, len(pooled), func(k int) {
 			i := pooled[k]
 			results[i] = runners[ids[i]](ctx, scale)
 		})

@@ -147,9 +147,11 @@ func For(n int, fn func(i int)) {
 // with no synchronization.
 //
 // The limit only ever narrows a loop's share of the shared pool; it
-// cannot raise parallelism above the process-wide bound. It exists for
-// the deprecated per-level Workers knobs — new call sites should use
-// For and let SetWorkers govern.
+// cannot raise parallelism above the process-wide bound. It carries the
+// per-call Workers caps (OptimizeOptions.Workers and the per-search
+// Workers fields it feeds), which let one caller — a flexflowd request,
+// say — keep a search from taking the whole pool. Call sites without
+// such a cap should use For and let SetWorkers govern.
 func ForEach(limit, n int, fn func(i int)) {
 	if n <= 0 {
 		return

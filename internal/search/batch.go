@@ -43,51 +43,19 @@ func EvaluateBatch(plan *taskgraph.Plan, base *sim.State, props []Proposal) []ti
 	if len(props) == 0 {
 		return make([]time.Duration, 0)
 	}
-	inst := plan.Instance()
-	st := base.CloneFor(inst)
+	tg := plan.Instance()
+	st := base.CloneFor(tg)
 	// The shared base strat is only read; reverts clone its configs so
 	// the private instance never aliases the frozen storage.
-	return EvaluateBatchFrom(inst, st, plan.Base().Strat, props)
-}
-
-// EvaluateBatchFrom is EvaluateBatch against an existing instance and
-// timeline instead of a fresh one off a plan — the form the MCMC
-// steady-state loop uses, where the current walk point is an
-// already-mutated instance. Each proposal is priced relative to cur
-// (the strategy tg currently implements): same-op runs chain directly,
-// a revert to cur's config is inserted when the batch moves to a
-// different op, and the instance is left parked at the last proposal
-// (no trailing revert), so a caller that accepts it pays nothing
-// extra. Callers that land elsewhere must re-park the instance
-// themselves: replace the last proposal's op with the desired config.
-// tg and st are mutated; cur is only read.
-func EvaluateBatchFrom(tg *taskgraph.TaskGraph, st *sim.State, cur *config.Strategy, props []Proposal) []time.Duration {
-	return EvaluateBatchFromStats(tg, st, cur, props, nil)
-}
-
-// EvaluateBatchFromStats is EvaluateBatchFrom with per-proposal cost
-// attribution: when suffix is non-nil it must hold len(props) entries,
-// and entry i receives the evaluated-suffix size of proposal i's own
-// delta — the number of tasks ApplyDelta re-evaluated for it
-// (sim.Stats.SuffixTasks), excluding the revert deltas inserted when
-// the batch moves between ops. This is the measurement the
-// LocalityMeasured policy feeds its per-op EMA: the actual price of
-// proposing at that op, not a position-based estimate. A proposal that
-// fell back to a full simulation (Stats.Fallbacks) records 0 — the
-// suffix stat is delta-specific.
-func EvaluateBatchFromStats(tg *taskgraph.TaskGraph, st *sim.State, cur *config.Strategy, props []Proposal, suffix []int64) []time.Duration {
+	baseStrat := plan.Base().Strat
 	costs := make([]time.Duration, len(props))
 	curOp := -1
 	for i, p := range props {
 		if curOp >= 0 && p.OpID != curOp {
-			st.ApplyDelta(tg.ReplaceConfig(curOp, cur.Config(curOp).Clone()))
+			st.ApplyDelta(tg.ReplaceConfig(curOp, baseStrat.Config(curOp).Clone()))
 		}
 		curOp = p.OpID
-		pre := st.Stats.SuffixTasks
 		costs[i] = st.ApplyDelta(tg.ReplaceConfig(p.OpID, p.Cfg))
-		if suffix != nil {
-			suffix[i] = st.Stats.SuffixTasks - pre
-		}
 	}
 	return costs
 }

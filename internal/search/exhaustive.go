@@ -29,9 +29,6 @@ type ExhaustiveOptions struct {
 	// (0 = the pool's full bound; see par.SetWorkers). The optimum cost
 	// is identical for every value; see the package comment for what
 	// stays deterministic.
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping individual searches.
 	Workers int
 	// OnEvent, when non-nil, receives a progress event every time a
 	// worker improves the shared pruning bound (Chain = subtree prefix
@@ -263,9 +260,6 @@ type PolishOptions struct {
 	// Workers caps the share of the process-wide worker pool each
 	// Neighborhood round's candidate sweep may use (0 = the pool's full
 	// bound). Results are bit-identical for every value.
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping individual searches.
 	Workers int
 	// OnEvent, when non-nil, receives one progress event per completed
 	// round (Chain = round index).

@@ -16,7 +16,7 @@ import (
 
 // TestParseLocality pins the policy-name surface: the empty string
 // normalizes to uniform, every listed policy round-trips, and unknown
-// names error mentioning the alternatives.
+// names error.
 func TestParseLocality(t *testing.T) {
 	if loc, err := ParseLocality(""); err != nil || loc != LocalityUniform {
 		t.Fatalf(`ParseLocality("") = %q, %v; want uniform`, loc, err)
@@ -27,8 +27,12 @@ func TestParseLocality(t *testing.T) {
 			t.Fatalf("ParseLocality(%q) = %q, %v", want, got, err)
 		}
 	}
-	if _, err := ParseLocality("spatial"); err == nil {
-		t.Fatal("unknown policy parsed without error")
+	// The two position-based policies were removed; their names are
+	// unknown now, like any other.
+	for _, name := range []string{"spatial", "late-biased", "stratified"} {
+		if _, err := ParseLocality(name); err == nil {
+			t.Fatalf("unknown policy %q parsed without error", name)
+		}
 	}
 }
 
@@ -48,51 +52,41 @@ func localityTestState(t *testing.T) ([]*graph.Op, *taskgraph.TaskGraph, *sim.St
 }
 
 // TestLocalityWeightsStrictlyPositive asserts the ergodicity invariant
-// for every policy over every hint extreme: after a rebuild from
-// degenerate hints (all ops at t=0, all ops at the makespan, a mix, a
-// single op) and degenerate EMAs (zero suffix everywhere), every
-// selection weight is strictly positive, so no op is unreachable.
+// over degenerate EMAs (zero suffix everywhere, all ops equal, one op
+// far dearer than the rest, a spread wide enough to hit the softmax
+// clamp): after a rebuild every selection weight is strictly positive,
+// so no op is unreachable.
 func TestLocalityWeightsStrictlyPositive(t *testing.T) {
 	ops, _, st := localityTestState(t)
-	hintSets := map[string][]float64{
-		"all-early":  make([]float64, len(ops)), // filled with 1 below
-		"all-late":   make([]float64, len(ops)), // stays 0
-		"mixed":      make([]float64, len(ops)),
-		"zero-first": make([]float64, len(ops)),
+	emaSets := map[string][]float64{
+		"all-zero":  make([]float64, len(ops)),
+		"all-equal": make([]float64, len(ops)),
+		"one-dear":  make([]float64, len(ops)),
+		"huge":      make([]float64, len(ops)),
 	}
 	for i := range ops {
-		hintSets["all-early"][i] = 1
-		hintSets["mixed"][i] = float64(i) / float64(len(ops))
+		emaSets["all-equal"][i] = 100
+		emaSets["one-dear"][i] = 1
+		emaSets["huge"][i] = float64(i) * 1e12
 	}
-	hintSets["zero-first"][0] = 0
-	for i := 1; i < len(ops); i++ {
-		hintSets["zero-first"][i] = 1
-	}
-	for _, policy := range []Locality{LocalityLateBiased, LocalityStratified, LocalityMeasured} {
-		for name, hints := range hintSets {
-			p := newLocalityPicker(policy, ops, st)
-			copy(p.hint, hints)
-			if policy == LocalityMeasured {
-				clear(p.ema) // zero measured suffix everywhere
-			}
-			p.rebuild()
-			for i, w := range p.weight {
-				if !(w > 0) {
-					t.Fatalf("%s/%s: weight[%d] = %v is not strictly positive", policy, name, i, w)
-				}
+	emaSets["one-dear"][0] = 1e9
+	for name, ema := range emaSets {
+		p := newLocalityPicker(ops, st)
+		copy(p.ema, ema)
+		p.rebuild()
+		for i, w := range p.weight {
+			if !(w > 0) {
+				t.Fatalf("%s: weight[%d] = %v is not strictly positive", name, i, w)
 			}
 		}
 	}
 
 	// Single-op graphs degenerate to "always that op" without panicking.
-	one := ops[:1]
-	for _, policy := range []Locality{LocalityLateBiased, LocalityStratified, LocalityMeasured} {
-		p := newLocalityPicker(policy, one, st)
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 50; i++ {
-			if got := p.pick(rng); got != 0 {
-				t.Fatalf("%s: single-op pick returned %d", policy, got)
-			}
+	p := newLocalityPicker(ops[:1], st)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		if got := p.pick(rng); got != 0 {
+			t.Fatalf("single-op pick returned %d", got)
 		}
 	}
 }
@@ -127,22 +121,20 @@ func TestLocalitySamplerDistribution(t *testing.T) {
 // matter how ComputeOps orders the graph.
 func TestLocalityPickerEnumerationOrderIndependent(t *testing.T) {
 	ops, _, st := localityTestState(t)
-	for _, policy := range []Locality{LocalityLateBiased, LocalityStratified, LocalityMeasured} {
-		reference := newLocalityPicker(policy, ops, st)
-		shuffled := append([]*graph.Op(nil), ops...)
-		rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-		permuted := newLocalityPicker(policy, shuffled, st)
+	reference := newLocalityPicker(ops, st)
+	shuffled := append([]*graph.Op(nil), ops...)
+	rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	permuted := newLocalityPicker(shuffled, st)
 
-		rngA := rand.New(rand.NewSource(7))
-		rngB := rand.New(rand.NewSource(7))
-		for i := 0; i < 500; i++ {
-			a := reference.ops[reference.pick(rngA)].ID
-			b := permuted.ops[permuted.pick(rngB)].ID
-			if a != b {
-				t.Fatalf("%s: draw %d differs under permuted enumeration: op %d vs %d", policy, i, a, b)
-			}
+	rngA := rand.New(rand.NewSource(7))
+	rngB := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		a := reference.ops[reference.pick(rngA)].ID
+		b := permuted.ops[permuted.pick(rngB)].ID
+		if a != b {
+			t.Fatalf("draw %d differs under permuted enumeration: op %d vs %d", i, a, b)
 		}
 	}
 }
@@ -171,7 +163,7 @@ func FuzzLocalitySampler(f *testing.F) {
 			case 1:
 				weights[i] = 1e-9 + rng.Float64()*1e9 // huge spread
 			default:
-				weights[i] = localityMinWeight + rng.Float64()
+				weights[i] = 0.05 + rng.Float64() // bounded spread
 			}
 		}
 		cum, total := buildCum(weights, nil)
@@ -199,11 +191,10 @@ func FuzzLocalitySampler(f *testing.F) {
 	})
 }
 
-// TestMCMCLocalityContract pins the Locality API the way the
-// ProposalBatch contract pinned batching: the zero value and "uniform"
-// are the same classic walk — bit-identical to the pre-locality
-// optimizer, whose RNG consumption (one Intn per draft) the uniform
-// path preserves verbatim — every non-uniform policy is deterministic
+// TestMCMCLocalityContract pins the Locality API: the zero value and
+// "uniform" are the same walk — bit-identical to the pre-locality
+// optimizer, whose RNG consumption (one Intn per proposal) the uniform
+// path preserves verbatim — and the measured policy is deterministic
 // run to run and non-degenerate, actually changes the walk, reports
 // the evaluated-suffix stat, and FullSim mode ignores the knob.
 func TestMCMCLocalityContract(t *testing.T) {
@@ -242,20 +233,18 @@ func TestMCMCLocalityContract(t *testing.T) {
 	if uniform.SimStats.SuffixTasks <= 0 {
 		t.Errorf("delta-mode walk reported SuffixTasks=%d; the suffix stat must accumulate", uniform.SimStats.SuffixTasks)
 	}
-	for _, loc := range []Locality{LocalityLateBiased, LocalityStratified, LocalityMeasured} {
-		a, b := run(loc, false), run(loc, false)
-		if !same(a, b) {
-			t.Errorf("Locality=%s is not deterministic run to run", loc)
-		}
-		if a.Iters == 0 || a.Accepted == 0 || a.Best == nil || a.BestCost <= 0 {
-			t.Errorf("Locality=%s degenerate search: %+v", loc, a)
-		}
-		if a.SimStats.SuffixTasks <= 0 {
-			t.Errorf("Locality=%s reported SuffixTasks=%d", loc, a.SimStats.SuffixTasks)
-		}
-		if same(a, uniform) {
-			t.Errorf("Locality=%s walks identically to uniform; the policy is not steering", loc)
-		}
+	a, b := run(LocalityMeasured, false), run(LocalityMeasured, false)
+	if !same(a, b) {
+		t.Error("Locality=measured is not deterministic run to run")
+	}
+	if a.Iters == 0 || a.Accepted == 0 || a.Best == nil || a.BestCost <= 0 {
+		t.Errorf("Locality=measured degenerate search: %+v", a)
+	}
+	if a.SimStats.SuffixTasks <= 0 {
+		t.Errorf("Locality=measured reported SuffixTasks=%d", a.SimStats.SuffixTasks)
+	}
+	if same(a, uniform) {
+		t.Error("Locality=measured walks identically to uniform; the policy is not steering")
 	}
 	if fa, fb := run(LocalityUniform, true), run(LocalityMeasured, true); !same(fa, fb) {
 		t.Error("FullSim walk changed with Locality set")

@@ -28,16 +28,13 @@ func TestMain(m *testing.M) {
 // TestMCMCPoolSizeDifferential is the pool-size analogue of the
 // Workers differentials: resizing the process-wide pool itself (not a
 // per-search cap) between 1, 2 and NumCPU must leave the MCMC result —
-// strategy, cost, proposal counts, stats, trace — bit-identical. The
-// contract holds per walk variant — each (ProposalBatch, Locality)
-// pair is its own deterministic walk — so the differential sweeps
-// locality × batch ∈ {1, 6} (the default's walk and a non-divisor
-// batched round) plus the historical (uniform, 8) cell, crossed with
-// the per-search Workers cap — the reference is always (pool=1,
-// Workers=1), the strictest serialization. It does not call
-// t.Parallel: it owns the global pool knob while it runs (non-parallel
-// tests execute alone), and restores it before the parallel phase
-// starts.
+// strategy, cost, proposal counts, stats, trace — bit-identical. Each
+// Locality policy is its own deterministic walk, so the differential
+// runs once per policy, crossed with the per-search Workers cap — the
+// reference is always (pool=1, Workers=1), the strictest
+// serialization. It does not call t.Parallel: it owns the global pool
+// knob while it runs (non-parallel tests execute alone), and restores
+// it before the parallel phase starts.
 func TestMCMCPoolSizeDifferential(t *testing.T) {
 	prev := par.WorkerBound()
 	defer par.SetWorkers(prev)
@@ -50,26 +47,13 @@ func TestMCMCPoolSizeDifferential(t *testing.T) {
 	opts.Seed = 11
 	initials := Initials(g, topo, 11, true)
 
-	type variant struct {
-		batch    int
-		locality Locality
-	}
-	var variants []variant
-	for _, batch := range []int{1, 6} {
-		for _, loc := range Localities() {
-			variants = append(variants, variant{batch, loc})
-		}
-	}
-	variants = append(variants, variant{8, LocalityUniform})
-
-	for _, v := range variants {
-		opts.ProposalBatch = v.batch
-		opts.Locality = v.locality
+	for _, loc := range Localities() {
+		opts.Locality = loc
 		opts.Workers = 1
 		par.SetWorkers(1)
 		ref := MCMC(context.Background(), g, topo, est, initials, opts)
 		if ref.Iters == 0 || ref.Best == nil {
-			t.Fatalf("batch=%d locality=%s: degenerate reference result: %+v", v.batch, v.locality, ref)
+			t.Fatalf("locality=%s: degenerate reference result: %+v", loc, ref)
 		}
 		type cell struct{ pool, workers int }
 		tried := map[cell]bool{{1, 1}: true}
@@ -85,7 +69,7 @@ func TestMCMCPoolSizeDifferential(t *testing.T) {
 			opts.Workers = c.workers
 			got := MCMC(context.Background(), g, topo, est, initials, opts)
 			label := func() string {
-				return fmt.Sprintf("batch=%d locality=%s pool=%d workers=%d", v.batch, v.locality, c.pool, c.workers)
+				return fmt.Sprintf("locality=%s pool=%d workers=%d", loc, c.pool, c.workers)
 			}
 			if got.BestCost != ref.BestCost || !got.Best.Equal(ref.Best) {
 				t.Errorf("%s: Best/BestCost %v differ from reference %v", label(), got.BestCost, ref.BestCost)
@@ -108,36 +92,6 @@ func TestMCMCPoolSizeDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMCMCProposalBatchDefaultPinned pins the measured ProposalBatch
-// default (see the DefaultProposalBatch doc and the batch sweep in
-// BENCH_pr9.json): DefaultOptions carries it, and the default's walk is
-// the classic one-at-a-time walk — bit-identical to an explicit
-// ProposalBatch of zero. Changing the default without re-running the
-// sweep (docs/EXPERIMENTS.md) should trip this test.
-func TestMCMCProposalBatchDefaultPinned(t *testing.T) {
-	if DefaultProposalBatch != 1 {
-		t.Fatalf("DefaultProposalBatch = %d; the committed sweep picked 1 — re-measure before moving it", DefaultProposalBatch)
-	}
-	if got := DefaultOptions().ProposalBatch; got != DefaultProposalBatch {
-		t.Fatalf("DefaultOptions().ProposalBatch = %d, want DefaultProposalBatch (%d)", got, DefaultProposalBatch)
-	}
-
-	g := tinyMLP()
-	topo := device.NewSingleNode(4, "P100")
-	est := perfmodel.NewAnalyticModel()
-	opts := DefaultOptions()
-	opts.MaxIters = 120
-	opts.Seed = 5
-	initials := Initials(g, topo, 5, true)
-	def := MCMC(context.Background(), g, topo, est, initials, opts)
-	opts.ProposalBatch = 0
-	classic := MCMC(context.Background(), g, topo, est, initials, opts)
-	if def.BestCost != classic.BestCost || def.Iters != classic.Iters ||
-		def.Accepted != classic.Accepted || def.SimStats != classic.SimStats {
-		t.Fatalf("default batch walk differs from the classic walk: %+v vs %+v", def, classic)
 	}
 }
 

@@ -34,9 +34,6 @@ type ReinforceOptions struct {
 	// snapshot and owns its task graph and simulator state, and results
 	// merge in episode order — so the learner is bit-identical for
 	// every Workers value and every pool size.
-	//
-	// Deprecated: size the shared pool once with par.SetWorkers instead
-	// of capping individual searches.
 	Workers int
 	// OnEvent, when non-nil, receives one progress event per gradient
 	// batch (Chain = batch index, Iter = episodes completed).

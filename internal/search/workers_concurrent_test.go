@@ -9,7 +9,7 @@ import (
 	"flexflow/internal/perfmodel"
 )
 
-// TestWorkersCapConcurrentDifferential pins the deprecated per-call
+// TestWorkersCapConcurrentDifferential pins the per-call
 // Workers cap under the load the strategy server creates: many
 // searches with different caps running concurrently on the one
 // process-wide pool. Each must reproduce its serial (Workers=1)

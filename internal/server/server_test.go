@@ -605,6 +605,38 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRemovedLocalityRejected pins the locality surface the daemon
+// accepts: a request naming the removed "late-biased" policy is a 400
+// whose message lists the valid set, and it admits no job and touches
+// neither the cache nor the search counters.
+func TestRemovedLocalityRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+
+	body := `{"model":"lenet","scale":16,"gpus":2,"options":{"max_iters":60,"locality":"late-biased"}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg map[string]string
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%v), want 400", resp.StatusCode, msg)
+	}
+	text := msg["error"]
+	for _, want := range []string{"late-biased", "uniform", "measured"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("error body %q does not mention %q", text, want)
+		}
+	}
+	for _, name := range []string{"flexflowd_jobs_total", "flexflowd_jobs_inflight", "flexflowd_cache_misses_total", "flexflowd_cache_hits_total", "flexflowd_proposals_total"} {
+		if got := scrapeMetric(t, ts, name); got != 0 {
+			t.Errorf("%s = %g after a rejected request, want 0", name, got)
+		}
+	}
+}
+
 // TestMetaEndpoints covers /healthz and /v1/optimizers.
 func TestMetaEndpoints(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))

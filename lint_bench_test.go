@@ -114,8 +114,8 @@ func TestBenchPR8ChainSetupImproves(t *testing.T) {
 // 5x fewer bytes per op than the deep-copy baseline recorded in the
 // same file (CloneFor now shares timing pages copy-on-write), (b)
 // BenchmarkDeltaSimulation/synth-50k at least 1.5x faster in ns/op than
-// its in-file baseline, and (c) the ProposalBatch sweep behind the
-// pinned search.DefaultProposalBatch present in the tracked set with
+// its in-file baseline, and (c) the batched-rounds sweep (the since
+// removed search.Options.ProposalBatch) present in the tracked set with
 // batch=1 the measured winner on both synthetic classes.
 func TestBenchPR9SparseTimingImproves(t *testing.T) {
 	f, err := benchjson.Load("BENCH_pr9.json")
@@ -172,7 +172,8 @@ func TestBenchPR9SparseTimingImproves(t *testing.T) {
 
 // TestBenchPR10LocalityImproves pins the locality-aware proposal
 // acceptance criteria in the committed artifact: BENCH_pr10.json must
-// record the full uniform/late-biased/measured sweep on both synthetic
+// record the full uniform/late-biased/measured sweep (late-biased has
+// since been removed from the search package) on both synthetic
 // classes, and on synth-50k at least one non-uniform policy must beat
 // uniform by the PR's bar — either >=1.3x better best-makespan at the
 // same iteration budget, or equal-quality search (best makespan within

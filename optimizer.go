@@ -51,11 +51,10 @@ type OptimizeOptions struct {
 	// Workers caps this Optimize call's share of the process-wide
 	// worker pool — MCMC chains, exhaustive DFS subtrees, REINFORCE
 	// episode rollouts, Neighborhood sweeps (0 = the pool's full
-	// bound). Results are identical for every value and every pool
-	// size.
-	//
-	// Deprecated: size the shared pool once with SetWorkers instead of
-	// capping individual calls; see docs/CONCURRENCY.md.
+	// bound). It is how one caller — flexflowd's per-request
+	// options.workers, say — keeps a search from taking the whole pool
+	// that SetWorkers sized. Results are identical for every value and
+	// every pool size; see docs/CONCURRENCY.md.
 	Workers int
 	// Initial seeds the search with an existing strategy: MCMC runs a
 	// single chain from it, polish descends from it. When nil, MCMC
@@ -74,14 +73,13 @@ type OptimizeOptions struct {
 	// algorithm instead of the delta algorithm (the Table 4 ablation).
 	FullSim bool
 	// Locality selects MCMC's proposal-locality policy: "" or "uniform"
-	// (the classic walk, bit-identical to earlier releases),
-	// "late-biased", "stratified", or "measured" — the non-uniform
-	// policies steer proposals toward ops whose tasks sit late in the
-	// chain's current timeline, where the delta simulator re-evaluates
-	// the least (see docs/ARCHITECTURE.md, "Proposal locality"). The
-	// policy changes the resulting strategy, so it participates in
-	// Fingerprint. Unknown names fail Optimize with an error. Ignored in
-	// FullSim mode and by the non-MCMC algorithms.
+	// (the paper's walk, bit-identical to earlier releases) or
+	// "measured", which steers proposals toward ops whose measured
+	// delta-simulation suffix is small (see docs/ARCHITECTURE.md,
+	// "Proposal locality"). The policy changes the resulting strategy,
+	// so it participates in Fingerprint. Unknown names fail Optimize
+	// with an error. Ignored in FullSim mode and by the non-MCMC
+	// algorithms.
 	Locality string
 	// Cost explicitly prices proposals for the virtual-time Budget,
 	// overriding the installed cost profile (see SetCostProfile). Nil

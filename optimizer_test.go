@@ -318,34 +318,26 @@ func ExampleSetCostProfile() {
 	// budgeted run found a strategy: true
 }
 
-// TestSearchShimStillWorks pins the deprecated path: flexflow.Search and
-// SearchOptions.Cancel keep functioning as a shim over the "mcmc"
-// optimizer.
-func TestSearchShimStillWorks(t *testing.T) {
+// TestMCMCPreCancelledKeepsInitial pins what an "mcmc" Optimize under
+// an already-cancelled context returns: no proposals, the context's
+// error, and still a usable strategy — the best initial candidate,
+// which is evaluated before the walk starts.
+func TestMCMCPreCancelledKeepsInitial(t *testing.T) {
 	p := registryProblem()
-	res := Search(p.Graph, p.Topology, SearchOptions{MaxIters: 100, Seed: 1})
-	if res.Best == nil || res.BestCost <= 0 || res.Iters == 0 {
-		t.Fatalf("shim search degenerate: %+v", res)
-	}
-
-	// The shim must agree with the optimizer it wraps (same seed, same
-	// deterministic walk).
-	opt, _ := GetOptimizer("mcmc")
-	direct, err := opt.Optimize(context.Background(), p, OptimizeOptions{MaxIters: 100, Seed: 1})
+	opt, err := GetOptimizer("mcmc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestCost != direct.BestCost || !res.Best.Equal(direct.Best) {
-		t.Fatalf("shim diverged from optimizer: %v vs %v", res.BestCost, direct.BestCost)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := opt.Optimize(ctx, p, OptimizeOptions{MaxIters: 1 << 20})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Optimize returned err %v, want context.Canceled", err)
 	}
-
-	cancel := make(chan struct{})
-	close(cancel)
-	got := Search(p.Graph, p.Topology, SearchOptions{MaxIters: 1 << 20, Cancel: cancel})
 	if got.Iters != 0 {
-		t.Fatalf("pre-closed Cancel still ran %d proposals", got.Iters)
+		t.Fatalf("pre-cancelled Optimize still ran %d proposals", got.Iters)
 	}
-	if got.Best == nil {
-		t.Fatal("cancelled shim lost the initial evaluation")
+	if got.Best == nil || got.BestCost <= 0 {
+		t.Fatalf("pre-cancelled Optimize lost the initial evaluation: %+v", got)
 	}
 }
