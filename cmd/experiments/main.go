@@ -71,10 +71,11 @@ func main() {
 	// every table so results name the profile that produced them.
 	costDesc := flexflow.DefaultCostProfile().Describe()
 	if *costProfile != "" {
-		desc, warn := flexflow.InstallCostProfile(*costProfile)
-		costDesc = desc
-		if warn != nil {
-			fmt.Fprintf(os.Stderr, "warning: %v; budgets fall back to the built-in cost defaults\n", warn)
+		if prof, err := flexflow.LoadCostProfile(*costProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: %v; budgets fall back to the built-in cost defaults\n", err)
+		} else {
+			flexflow.SetCostProfile(prof)
+			costDesc = prof.Describe()
 		}
 	}
 

@@ -97,11 +97,11 @@ func main() {
 		return
 	}
 	if *costProfile != "" {
-		desc, warn := flexflow.InstallCostProfile(*costProfile)
-		if warn != nil {
-			fmt.Fprintf(os.Stderr, "warning: %v; budgets fall back to the built-in cost defaults\n", warn)
+		if prof, err := flexflow.LoadCostProfile(*costProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: %v; budgets fall back to the built-in cost defaults\n", err)
 		} else {
-			fmt.Printf("cost profile: %s\n", desc)
+			flexflow.SetCostProfile(prof)
+			fmt.Printf("cost profile: %s\n", prof.Describe())
 		}
 	}
 

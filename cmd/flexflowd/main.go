@@ -32,7 +32,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,7 +48,6 @@ func main() {
 		cacheSize      = flag.Int("cache-size", 256, "strategy cache entries (0 default, negative disables)")
 		workers        = flag.Int("workers", 0, "size of the process-wide worker pool (0 = all CPUs)")
 		costProfile    = flag.String("cost-profile", "", "fitted cost profile JSON to price virtual-time budgets (see flexflow -calibrate)")
-		locality       = flag.String("locality", "", "default MCMC proposal-locality policy for requests that set none: "+strings.Join(flexflow.Localities(), ", ")+" (default uniform)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long running searches get to finish on shutdown")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	)
@@ -84,15 +82,11 @@ func main() {
 		}()
 	}
 
-	if _, err := flexflow.ParseLocality(*locality); err != nil {
-		log.Fatalf("flexflowd: -locality: %v", err)
-	}
 	srv := server.New(server.Options{
-		MaxInflight:     *maxInflight,
-		DefaultTimeout:  *defaultTimeout,
-		MaxTimeout:      *maxTimeout,
-		CacheSize:       *cacheSize,
-		DefaultLocality: *locality,
+		MaxInflight:    *maxInflight,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		CacheSize:      *cacheSize,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv}
 

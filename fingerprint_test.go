@@ -1,12 +1,10 @@
 package flexflow
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"flexflow/internal/calib"
-	"flexflow/internal/search"
 )
 
 // fpGraph builds the small fixed graph the fingerprint tests key on.
@@ -200,9 +198,7 @@ func TestFingerprintMeasuredEMAExcluded(t *testing.T) {
 // TestFingerprintCostProfile pins the budget-pricing leg: for budgeted
 // requests the installed cost profile participates in the key (a
 // different profile means a different proposal count, hence a
-// different result), unbudgeted requests ignore it, and a custom
-// CostModel implementation is an explicit "uncacheable" error rather
-// than a silently wrong key.
+// different result), and unbudgeted requests ignore it.
 func TestFingerprintCostProfile(t *testing.T) {
 	p := Problem{Graph: fpGraph(), Topology: NewSingleNode(4, "P100")}
 	budgeted := OptimizeOptions{MaxIters: 100, Seed: 7, Budget: time.Second}
@@ -239,18 +235,4 @@ func TestFingerprintCostProfile(t *testing.T) {
 	if a != b {
 		t.Fatal("cost profile leaked into an unbudgeted key")
 	}
-
-	if _, err := Fingerprint(p, "mcmc", OptimizeOptions{Budget: time.Second, Cost: opaqueCost{}}); err == nil {
-		t.Fatal("custom CostModel fingerprinted without error")
-	} else if !strings.Contains(err.Error(), "CostModel") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
 }
-
-// opaqueCost is a CostModel the fingerprint cannot inspect.
-type opaqueCost struct{}
-
-// ProposalCost implements search.CostModel with a fixed price.
-func (opaqueCost) ProposalCost(string, int, bool) time.Duration { return time.Microsecond }
-
-var _ search.CostModel = opaqueCost{}

@@ -1,11 +1,11 @@
-// Package calib fits and persists measured virtual-time cost profiles
-// for the search package's deterministic budgets.
+// Package calib fits, persists and installs the measured virtual-time
+// cost profile that prices the search package's deterministic budgets.
 //
 // A budgeted MCMC run charges every proposal a deterministic virtual
 // cost so that Budget/cost is a fixed proposal count and the run
 // replays bit-identically for any worker count (see internal/search).
 // The exchange rate between virtual seconds and wall seconds is only as
-// good as the cost model behind it: the built-in constants are
+// good as the profile behind it: the built-in constants are
 // order-of-magnitude guesses. This package replaces the guesses with
 // measurement — Calibrate times batches of real proposals against
 // compiled task-graph Plans across the model zoo, least-squares-fits
@@ -15,20 +15,19 @@
 //
 // per simulation mode (delta vs. full, the Table 4 pair of
 // conf_mlsys_JiaZA19), and records the result as a Profile that can be
-// persisted to JSON, reloaded, and handed to the search package as its
-// CostModel.
+// persisted to JSON, reloaded, and installed.
 //
-// Resolution follows a fixed precedence chain, weakest first:
+// One process-wide slot holds the profile in effect (Install/Active).
+// Prices resolve through a fixed three-level chain, weakest first:
 //
 //  1. built-in defaults (Default — the historic hand-guessed constants),
-//  2. the profile's fitted per-mode parameters (Profile.Modes),
-//  3. the profile's per-model overrides (Profile.Models, keyed by
-//     graph name),
-//  4. an explicit per-search cost model (search.Options.Cost /
-//     flexflow.OptimizeOptions.Cost), which bypasses the profile
-//     entirely.
+//  2. the installed profile's fitted per-mode parameters
+//     (Profile.Modes),
+//  3. that profile's per-model overrides (Profile.Models, keyed by
+//     graph name).
 //
-// A Profile is immutable once installed: for a fixed profile, budgeted
+// A search reads the slot once, before its chains fan out, and a
+// Profile is immutable once installed: for a fixed profile, budgeted
 // runs stay bit-identical across invocations and pool sizes, exactly as
 // with the built-in constants.
 package calib
@@ -36,6 +35,7 @@ package calib
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,10 +105,6 @@ const Version = 1
 // Profile is a cost profile: fitted per-mode parameters plus optional
 // per-model overrides, resolved through ParamsFor's precedence chain.
 // The zero value is unusable; start from Default, Fit or Load.
-//
-// Profile implements the search package's CostModel interface
-// (ProposalCost), so a loaded profile plugs directly into
-// search.Options.Cost or search.SetDefaultCostModel.
 type Profile struct {
 	// Version is the schema version (see the package constant).
 	Version int `json:"version"`
@@ -141,6 +137,19 @@ func Default() *Profile {
 	}
 }
 
+// active is the installed profile; nil means Default prices budgets.
+var active atomic.Pointer[Profile]
+
+// Install makes p the profile that prices every budgeted search started
+// from now on and returns the previously installed one (nil when the
+// built-in defaults were in effect). Passing nil restores the built-in
+// defaults. The caller must not mutate p afterwards.
+func Install(p *Profile) *Profile { return active.Swap(p) }
+
+// Active returns the installed profile, or nil when budgets are priced
+// by Default.
+func Active() *Profile { return active.Load() }
+
 // ParamsFor resolves the parameters for (model, mode) through the
 // precedence chain: the profile's per-model override, then its fitted
 // per-mode parameters, then the built-in defaults. Unknown model names
@@ -160,8 +169,7 @@ func (p *Profile) ParamsFor(model string, mode Mode) Params {
 }
 
 // ProposalCost prices one proposal for a graph named model with
-// numTasks tasks under the given simulation mode. It implements the
-// search package's CostModel interface.
+// numTasks tasks under the given simulation mode.
 func (p *Profile) ProposalCost(model string, numTasks int, fullSim bool) time.Duration {
 	return p.ParamsFor(model, modeOf(fullSim)).Cost(numTasks)
 }

@@ -92,8 +92,8 @@ func TestProfileRoundTrip(t *testing.T) {
 
 // TestLoadFallsBackToDefaults covers the failure ladder: missing file,
 // corrupt JSON, version skew and non-monotone parameters all surface an
-// error and hand back the built-in defaults, so budgeted runs always
-// have a usable cost model.
+// error and no profile, so a caller that warns and carries on installs
+// nothing and budgets stay priced by the built-in defaults.
 func TestLoadFallsBackToDefaults(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, mutate func(p *Profile)) string {
@@ -132,20 +132,38 @@ func TestLoadFallsBackToDefaults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Load(c.path); err == nil {
-				t.Fatalf("Load(%s) accepted an invalid profile", c.name)
-			}
-			p, err := LoadOrDefault(c.path)
+			p, err := Load(c.path)
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("warning = %v, want mention of %q", err, c.wantErr)
 			}
-			if p == nil || p.Validate() != nil {
-				t.Fatalf("fallback profile unusable: %+v", p)
-			}
-			if !reflect.DeepEqual(p.Modes, Default().Modes) {
-				t.Fatalf("fallback is not the built-in defaults: %+v", p.Modes)
+			if p != nil {
+				t.Fatalf("Load returned a profile alongside its error: %+v", p)
 			}
 		})
+	}
+}
+
+// TestInstall pins the process-wide slot: installing a profile makes it
+// Active, the previous profile comes back for scoped swaps, and nil
+// restores the built-in defaults.
+func TestInstall(t *testing.T) {
+	fixed := &Profile{
+		Version: Version,
+		Modes: map[Mode]Params{
+			ModeDelta: {BaseNS: 1000, PerTaskNS: 10},
+			ModeFull:  {BaseNS: 1000, PerTaskNS: 100},
+		},
+	}
+	prev := Install(fixed)
+	defer Install(prev)
+	if Active() != fixed {
+		t.Fatal("installed profile not active")
+	}
+	if restored := Install(nil); restored != fixed {
+		t.Fatal("Install did not return the previous profile")
+	}
+	if got := Active(); got != nil {
+		t.Fatalf("nil did not restore the built-in defaults: %+v", got)
 	}
 }
 

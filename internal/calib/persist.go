@@ -48,8 +48,9 @@ func Save(p *Profile, path string) error {
 
 // Load reads and validates a profile written by Save. It returns an
 // error for a missing or unreadable file, malformed JSON, a version
-// other than Version, and non-monotone or non-finite parameters — the
-// caller decides whether to fall back (see LoadOrDefault).
+// other than Version, and non-monotone or non-finite parameters; a
+// caller that proceeds anyway simply installs nothing, leaving budgets
+// on the built-in defaults.
 func Load(path string) (*Profile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -63,17 +64,4 @@ func Load(path string) (*Profile, error) {
 		return nil, fmt.Errorf("calib: profile %s: %w", path, err)
 	}
 	return &p, nil
-}
-
-// LoadOrDefault loads the profile at path, falling back to the built-in
-// defaults when the file is missing, corrupt, version-skewed or
-// otherwise invalid. The returned profile is always usable; the error,
-// when non-nil, explains why the fallback was taken (log it as a
-// warning — budgets still work, just with order-of-magnitude costs).
-func LoadOrDefault(path string) (*Profile, error) {
-	p, err := Load(path)
-	if err != nil {
-		return Default(), err
-	}
-	return p, nil
 }

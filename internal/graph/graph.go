@@ -139,8 +139,10 @@ func (g *Graph) Validate() error {
 			}
 		}
 		if op.Kind != Input {
-			full := op.Out.FullRegion()
-			regions := InputRegions(op, full)
+			regions, err := fullInputRegions(op)
+			if err != nil {
+				return fmt.Errorf("graph %q: op %q: %w", g.Name, op.Name, err)
+			}
 			if len(regions) != len(op.Inputs) {
 				return fmt.Errorf("graph %q: op %q input region count %d != inputs %d", g.Name, op.Name, len(regions), len(op.Inputs))
 			}
@@ -157,6 +159,19 @@ func (g *Graph) Validate() error {
 		seen[op.ID] = true
 	}
 	return nil
+}
+
+// fullInputRegions is InputRegions over op's full output, with a panic
+// turned into an error: InputRegions trusts that an op's input count
+// and ranks fit its kind, which only a hand-assembled or decoded graph
+// can break.
+func fullInputRegions(op *Op) (regions []tensor.Region, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("inputs do not fit a %s op: %v", op.Kind, r)
+		}
+	}()
+	return InputRegions(op, op.Out.FullRegion()), nil
 }
 
 // String summarizes the graph: name, op and weight counts, FLOPs per

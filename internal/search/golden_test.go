@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"flexflow/internal/calib"
 	"flexflow/internal/config"
 	"flexflow/internal/device"
 	"flexflow/internal/graph"
@@ -35,8 +36,13 @@ type goldenWalk struct {
 // differential tests compare current runs with each other; this test
 // compares them with the past, so a refactor of the chain loop that
 // shifts one RNG draw or one ApplyDelta fails here even when every run
-// still agrees with every other. Runs in -short mode too.
+// still agrees with every other. Runs in -short mode too. The trace's
+// virtual timestamps and a budgeted walk's stopping point depend on
+// the built-in cost profile, so no profile may be installed.
 func TestMCMCGoldenWalk(t *testing.T) {
+	if p := calib.Active(); p != nil {
+		t.Fatalf("a cost profile is installed (%s); golden walks are priced by the built-in defaults", p.Describe())
+	}
 	type model struct {
 		g      *graph.Graph
 		topo   *device.Topology
@@ -83,9 +89,6 @@ func TestMCMCGoldenWalk(t *testing.T) {
 		opts.Seed = 7
 		opts.Locality = c.locality
 		opts.FullSim = c.fullSim
-		// Pin the built-in cost model: the trace's virtual timestamps and
-		// a budgeted walk's stopping point depend on it.
-		opts.Cost = DefaultCostModel()
 		initials := Initials(c.m.g, c.m.topo, 7, true)
 		res := MCMC(context.Background(), c.m.g, c.m.topo, perfmodel.NewAnalyticModel(), initials, opts)
 

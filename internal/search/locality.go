@@ -12,7 +12,7 @@ package search
 //
 // Determinism: the picker draws from the chain's private RNG stream
 // and from state derived only from that chain's own walk, so for a
-// fixed (Seed, Locality, CostModel) the result is bit-identical across
+// fixed (Seed, Locality, profile) the result is bit-identical across
 // Workers values and pool sizes. The weighted sampler orders ops by
 // ascending op ID internally, so the draw sequence is independent of
 // how the caller enumerated the ops. LocalityUniform consumes RNG

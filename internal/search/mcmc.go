@@ -35,13 +35,14 @@
 // pool or in which order chains are scheduled.
 //
 // Budgets are charged in virtual time: every proposal costs a
-// deterministic amount priced by the active CostModel — a measured
-// calibration profile (internal/calib) when one is installed, the
-// built-in order-of-magnitude constants otherwise — so Budget > 0
+// deterministic amount that depends only on the model name, the
+// task-graph size and the simulation algorithm, priced by the installed
+// calibration profile (calib.Active) or, when none is installed, the
+// built-in order-of-magnitude constants (calib.Default). So Budget > 0
 // bounds a fixed proposal count per chain and the paper's
 // "no improvement for half the search time" criterion is evaluated
 // against the chain's virtual clock. The determinism contract is
-// therefore unconditional: for a fixed Seed and a fixed cost model the
+// therefore unconditional: for a fixed Seed and a fixed profile the
 // result (Best, BestCost, Iters, Accepted, Trace, SimStats —
 // everything except the wall-clock SearchTime) is bit-identical for
 // every Workers value, budgeted or not, run to run. Wall-clock limits
@@ -59,6 +60,7 @@ import (
 	"math/rand"
 	"time"
 
+	"flexflow/internal/calib"
 	"flexflow/internal/config"
 	"flexflow/internal/device"
 	"flexflow/internal/graph"
@@ -108,8 +110,9 @@ type Options struct {
 	MaxIters int
 	// Budget caps the *virtual* search time per initial strategy
 	// (0 = unlimited; MaxIters still applies). Proposals are charged a
-	// deterministic cost by the active CostModel (see Cost), so a
-	// budgeted run executes a fixed proposal count and replays exactly.
+	// deterministic cost by the installed calibration profile (see the
+	// package comment), so a budgeted run executes a fixed proposal
+	// count and replays exactly.
 	// Bound wall-clock time through the context instead.
 	Budget time.Duration
 	// Seed makes the search reproducible.
@@ -130,18 +133,11 @@ type Options struct {
 	// MemoryModel configures the footprint accounting when MemoryCheck
 	// is set (zero value = plain SGD training).
 	MemoryModel memory.Model
-	// Cost prices proposals for the virtual-time budget (nil = the
-	// process-wide default installed by SetDefaultCostModel, which is
-	// the built-in order-of-magnitude constants unless a fitted
-	// calibration profile has been installed). It is resolved once at
-	// search start, so a fixed cost model keeps budgeted runs
-	// bit-identical across Workers values and pool sizes.
-	Cost CostModel
 	// Locality selects how a chain picks the op each proposal mutates:
 	// "" or LocalityUniform is the paper's uniform walk; LocalityMeasured
 	// steers toward ops whose measured delta-simulation suffix is small
 	// (see locality.go), using only the chain's private RNG stream and
-	// per-chain state, so for a fixed (Seed, Locality, CostModel) the
+	// per-chain state, so for a fixed (Seed, Locality, profile) the
 	// Result is bit-identical across Workers values and pool sizes.
 	// Ignored in FullSim mode, which rebuilds from scratch per proposal
 	// and has no standing timeline to measure. See docs/ARCHITECTURE.md,
@@ -220,11 +216,12 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 		panic(err.Error())
 	}
 	opts.Locality = loc
-	// Resolve the cost model once, before the fan-out: every chain
-	// prices proposals identically even if SetDefaultCostModel is
-	// called while the search runs.
-	if opts.Cost == nil {
-		opts.Cost = defaultCostModel()
+	// Read the cost profile once, before the fan-out: every chain
+	// prices proposals identically even if calib.Install is called
+	// while the search runs.
+	prof := calib.Active()
+	if prof == nil {
+		prof = calib.Default()
 	}
 	start := time.Now()
 	if len(initials) == 0 {
@@ -262,7 +259,7 @@ func MCMC(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmo
 	results := make([]Result, len(initials))
 	par.ForEach(opts.Workers, len(initials), func(i int) {
 		rng := rand.New(rand.NewSource(chainSeed(opts.Seed, i)))
-		results[i] = runChain(ctx, g, topo, est, initials[i], compiled[i], i, opts, rng)
+		results[i] = runChain(ctx, g, topo, est, initials[i], compiled[i], i, opts, prof, rng)
 	})
 	// Merge in chain-index order, so ties between chains resolve the
 	// same way no matter which worker finished first.
@@ -292,7 +289,7 @@ type chainStart struct {
 	base *sim.State
 }
 
-func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, init *config.Strategy, start0 chainStart, chain int, opts Options, rng *rand.Rand) Result {
+func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est perfmodel.Estimator, init *config.Strategy, start0 chainStart, chain int, opts Options, prof *calib.Profile, rng *rand.Rand) Result {
 	wallStart := time.Now()
 	cur := init.Clone()
 	// Delta mode keeps one task graph + timeline alive across proposals;
@@ -308,10 +305,10 @@ func runChain(ctx context.Context, g *graph.Graph, topo *device.Topology, est pe
 	cost := st.Makespan
 
 	// The chain's deterministic clock: every proposal advances it by an
-	// amount the cost model derives only from (model, task-graph size,
+	// amount the profile derives only from (model, task-graph size,
 	// simulation mode), so the budget and the half-time stopping
-	// criterion replay exactly for a fixed model/profile.
-	perProposal := opts.Cost.ProposalCost(g.Name, len(tg.Tasks), opts.FullSim)
+	// criterion replay exactly for a fixed profile.
+	perProposal := prof.ProposalCost(g.Name, len(tg.Tasks), opts.FullSim)
 	virtual := func(it int) time.Duration { return time.Duration(it) * perProposal }
 
 	res := Result{

@@ -76,8 +76,9 @@ func TestMCMCParallelMatchesSerial(t *testing.T) {
 // clocks, so everything but the wall-clock SearchTime — including the
 // proposal count at which each chain stopped and the full trace — is
 // bit-identical across invocations and across Workers values.
+//
+// Not parallel: the fixed-profile leg installs a process-wide profile.
 func TestMCMCVirtualBudgetDeterministic(t *testing.T) {
-	t.Parallel()
 	g := tinyMLP()
 	topo := device.NewSingleNode(4, "P100")
 	est := perfmodel.NewAnalyticModel()
@@ -131,7 +132,8 @@ func TestMCMCVirtualBudgetDeterministic(t *testing.T) {
 			calib.ModeFull:  {BaseNS: 4_000, PerTaskNS: 410},
 		},
 	}
-	opts.Cost = prof
+	prev := calib.Install(prof)
+	defer calib.Install(prev)
 	opts.Workers = 1
 	profRef := MCMC(context.Background(), g, topo, est, initials, opts)
 	if profRef.Iters == 0 || profRef.Iters >= opts.MaxIters {
@@ -149,7 +151,7 @@ func TestMCMCVirtualBudgetDeterministic(t *testing.T) {
 		}
 	}
 
-	opts.Cost = nil
+	calib.Install(prev)
 	// The measured locality policy steers which ops a budgeted walk
 	// proposes, not how the virtual clock ticks: it has its own
 	// deterministic stopping point and replays bit-identically across

@@ -14,7 +14,7 @@ import (
 )
 
 func TestProposalCostScaling(t *testing.T) {
-	cm := DefaultCostModel()
+	cm := calib.Default()
 	small := cm.ProposalCost("mlp", 100, false)
 	big := cm.ProposalCost("mlp", 10000, false)
 	if big <= small {
@@ -25,37 +25,10 @@ func TestProposalCostScaling(t *testing.T) {
 	}
 }
 
-// TestSetDefaultCostModel pins the process-wide default: installing a
-// model changes what nil-Cost searches charge, nil restores the
-// built-in constants, and the previous model is returned for scoped
-// swaps.
-func TestSetDefaultCostModel(t *testing.T) {
-	fixed := &calib.Profile{
-		Version: calib.Version,
-		Modes: map[calib.Mode]calib.Params{
-			calib.ModeDelta: {BaseNS: 1000, PerTaskNS: 10},
-			calib.ModeFull:  {BaseNS: 1000, PerTaskNS: 100},
-		},
-	}
-	prev := SetDefaultCostModel(fixed)
-	defer SetDefaultCostModel(prev)
-	if got := defaultCostModel().ProposalCost("x", 100, false); got != fixed.ProposalCost("x", 100, false) {
-		t.Fatalf("installed cost model not active: %v", got)
-	}
-	if restored := SetDefaultCostModel(nil); restored != CostModel(fixed) {
-		t.Fatalf("SetDefaultCostModel did not return the previous model")
-	}
-	builtin := DefaultCostModel().ProposalCost("x", 100, false)
-	if got := defaultCostModel().ProposalCost("x", 100, false); got != builtin {
-		t.Fatalf("nil did not restore the built-in constants: %v vs %v", got, builtin)
-	}
-	SetDefaultCostModel(fixed) // leave as found for the deferred restore
-}
-
 // TestVirtualTimeDriftReport closes the calibration loop: it fits a
 // cost profile on this machine (internal/calib, the same measurement
 // `flexflow -calibrate` runs), drives a single-worker micro-search with
-// the fitted profile as its CostModel, and compares the wall clock
+// the fitted profile installed, and compares the wall clock
 // against the virtual clock the budget machinery charged. The built-in
 // order-of-magnitude constants are logged alongside for comparison; the
 // *fitted* profile must price proposals within 10x of measured reality
@@ -99,15 +72,15 @@ func TestVirtualTimeDriftReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer calib.Install(calib.Install(prof))
 		drifts := map[string]float64{}
 		for _, mode := range modes {
 			opts := DefaultOptions()
 			opts.MaxIters = mode.iters
 			opts.Workers = 1
 			opts.FullSim = mode.fullSim
-			opts.Cost = prof
 			charged := prof.ProposalCost(model, numTasks, mode.fullSim)
-			builtin := DefaultCostModel().ProposalCost(model, numTasks, mode.fullSim)
+			builtin := calib.Default().ProposalCost(model, numTasks, mode.fullSim)
 
 			start := time.Now()
 			res := MCMC(context.Background(), g, topo, est, []*config.Strategy{init.Clone()}, opts)

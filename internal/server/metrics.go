@@ -12,12 +12,14 @@ import (
 type metrics struct {
 	// inflight gauges searches currently running; jobsTotal counts
 	// searches ever started (cache hits and coalesced requests start
-	// none); rejected counts 429s from admission control.
+	// none); rejected counts 429s from admission control; panicked
+	// counts searches whose optimizer panicked (each answered 500).
 	inflight  atomic.Int64
 	jobsTotal atomic.Int64
 	rejected  atomic.Int64
+	panicked  atomic.Int64
 	// cacheHits / cacheMisses count cache lookups (requests with
-	// no_cache, or uncacheable ones, perform no lookup).
+	// no_cache perform no lookup).
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	// proposals and searchNS accumulate every finished search's work;
@@ -42,6 +44,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flexflowd_jobs_inflight %d\n", s.met.inflight.Load())
 	fmt.Fprintf(w, "flexflowd_jobs_total %d\n", s.met.jobsTotal.Load())
 	fmt.Fprintf(w, "flexflowd_jobs_rejected_total %d\n", s.met.rejected.Load())
+	fmt.Fprintf(w, "flexflowd_jobs_panicked_total %d\n", s.met.panicked.Load())
 	fmt.Fprintf(w, "flexflowd_cache_hits_total %d\n", s.met.cacheHits.Load())
 	fmt.Fprintf(w, "flexflowd_cache_misses_total %d\n", s.met.cacheMisses.Load())
 	fmt.Fprintf(w, "flexflowd_cache_entries %d\n", entries)

@@ -66,9 +66,8 @@ type requestOptions struct {
 type optimizeResponse struct {
 	// Algorithm echoes the optimizer that produced the strategy.
 	Algorithm string `json:"algorithm"`
-	// Fingerprint is the request's content-addressed cache key (empty
-	// when the request was uncacheable).
-	Fingerprint string `json:"fingerprint,omitempty"`
+	// Fingerprint is the request's content-addressed cache key.
+	Fingerprint string `json:"fingerprint"`
 	// Cached reports the strategy was answered from the cache without
 	// running a search; Coalesced that this request shared an identical
 	// already-running search instead of starting its own.
@@ -93,6 +92,8 @@ type request struct {
 	algorithm string
 	opts      flexflow.OptimizeOptions
 	timeout   time.Duration
+	// fp is the request's cache key (flexflow.Fingerprint).
+	fp string
 }
 
 // maxRequestBytes bounds an optimize request body; inline graphs for
@@ -139,16 +140,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 		FullSim:            o.FullSim,
 		Locality:           o.Locality,
 	}
-	// Locality is result-affecting (it participates in the fingerprint
-	// and so in the cache key); resolve the server default for unset
-	// requests and reject unknown policies here as a 400 rather than
-	// failing the search after admission.
-	if opts.Locality == "" {
-		opts.Locality = s.opts.DefaultLocality
-	}
-	if _, err := flexflow.ParseLocality(opts.Locality); err != nil {
-		return nil, err
-	}
 	if len(wire.Initial) > 0 {
 		initial, err := flexflow.ImportStrategy(wire.Initial, g, topo)
 		if err != nil {
@@ -165,12 +156,21 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 		timeout = s.opts.MaxTimeout
 	}
 
+	// Fingerprint validates the locality policy (unset means uniform),
+	// so an unknown one is a 400 here rather than a failed search after
+	// admission.
+	prob := flexflow.Problem{Graph: g, Topology: topo}
+	fp, err := flexflow.Fingerprint(prob, algorithm, opts)
+	if err != nil {
+		return nil, err
+	}
 	return &request{
 		wire:      wire,
-		prob:      flexflow.Problem{Graph: g, Topology: topo},
+		prob:      prob,
 		algorithm: algorithm,
 		opts:      opts,
 		timeout:   timeout,
+		fp:        fp,
 	}, nil
 }
 

@@ -42,13 +42,6 @@ type Options struct {
 	// recently used entries are evicted beyond it (0 means 256,
 	// negative disables caching).
 	CacheSize int
-	// DefaultLocality is the MCMC proposal-locality policy applied to
-	// requests whose options leave locality unset ("" keeps the library
-	// default, uniform). The resolved policy participates in the
-	// request fingerprint, so requests served under different defaults
-	// never alias in the strategy cache. New validates it with
-	// flexflow.ParseLocality.
-	DefaultLocality string
 }
 
 // Server is the flexflowd HTTP service. Create one with New, mount it
@@ -84,9 +77,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxTimeout <= 0 {
 		opts.MaxTimeout = 10 * time.Minute
-	}
-	if _, err := flexflow.ParseLocality(opts.DefaultLocality); err != nil {
-		panic("server: Options.DefaultLocality: " + err.Error())
 	}
 	size := opts.CacheSize
 	if size == 0 {
@@ -200,12 +190,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := wantsSSE(r)
 
-	fp, fpErr := flexflow.Fingerprint(req.prob, req.algorithm, req.opts)
-	// An uncacheable request (fpErr != nil — e.g. a budget priced by an
-	// opaque process-wide CostModel) still runs; it just cannot be
-	// answered from or stored into the cache, nor coalesced.
-	if fpErr == nil && s.cache != nil && !req.wire.NoCache {
-		if resp, ok := s.cache.get(fp); ok {
+	if s.cache != nil && !req.wire.NoCache {
+		if resp, ok := s.cache.get(req.fp); ok {
 			s.met.cacheHits.Add(1)
 			resp.Cached = true
 			if stream {
@@ -220,9 +206,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	var j *job
 	coalesced := false
-	if fpErr == nil && !req.wire.NoCache {
+	if !req.wire.NoCache {
 		s.mu.Lock()
-		j, coalesced = s.jobs[fp], s.jobs[fp] != nil
+		j, coalesced = s.jobs[req.fp], s.jobs[req.fp] != nil
 		s.mu.Unlock()
 	}
 	if j == nil {
@@ -234,7 +220,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusTooManyRequests, "optimizer at capacity; retry later")
 			return
 		}
-		j = s.startJob(fp, fpErr == nil && !req.wire.NoCache, fpErr == nil, req)
+		j = s.startJob(req, !req.wire.NoCache)
 		if j == nil {
 			// Drain won the race after the entry check: give the slot
 			// back and bounce.
@@ -271,7 +257,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // already acquired an admission slot. Returns nil if Drain raced the
 // caller's entry check — registration and wg.Add happen under mu, the
 // same lock Drain flags under, so Drain's Wait can never miss a job.
-func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
+//
+// A panicking optimizer fails only its own job: the leader and every
+// coalesced waiter get a 500, nothing is cached, and the admission slot
+// and the drain WaitGroup are released as on a normal finish.
+func (s *Server) startJob(req *request, dedup bool) *job {
 	ctx, cancel := context.WithTimeout(context.Background(), req.timeout)
 	j := &job{cancel: cancel, done: make(chan struct{})}
 	s.mu.Lock()
@@ -281,7 +271,7 @@ func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 		return nil
 	}
 	if dedup {
-		s.jobs[fp] = j
+		s.jobs[req.fp] = j
 	}
 	s.running[j] = struct{}{}
 	s.wg.Add(1)
@@ -293,28 +283,34 @@ func (s *Server) startJob(fp string, dedup, store bool, req *request) *job {
 	s.met.jobsTotal.Add(1)
 	s.met.inflight.Add(1)
 	go func() {
-		j.res, j.status, j.err = s.run(ctx, fp, store, req.prob, req.algorithm, opts)
-		cancel()
-		s.mu.Lock()
-		if dedup {
-			delete(s.jobs, fp)
-		}
-		delete(s.running, j)
-		s.mu.Unlock()
-		<-s.sem
-		s.met.inflight.Add(-1)
-		s.wg.Done()
-		close(j.done)
+		defer func() {
+			if p := recover(); p != nil {
+				s.met.panicked.Add(1)
+				j.res, j.status = nil, http.StatusInternalServerError
+				j.err = fmt.Errorf("optimizer %q panicked: %v", req.algorithm, p)
+			}
+			cancel()
+			s.mu.Lock()
+			if dedup {
+				delete(s.jobs, req.fp)
+			}
+			delete(s.running, j)
+			s.mu.Unlock()
+			<-s.sem
+			s.met.inflight.Add(-1)
+			s.wg.Done()
+			close(j.done)
+		}()
+		j.res, j.status, j.err = s.run(ctx, req.fp, req.prob, req.algorithm, opts)
 	}()
 	return j
 }
 
 // run executes one search and shapes its outcome: a complete result is
-// stored in the cache (when store is set); a deadline-cut result is
-// returned with timed_out set but never cached, because a wall-clock
-// truncation is not the deterministic full-search answer the
-// fingerprint promises.
-func (s *Server) run(ctx context.Context, fp string, store bool, prob flexflow.Problem, algorithm string, opts flexflow.OptimizeOptions) (*optimizeResponse, int, error) {
+// stored in the cache; a deadline-cut result is returned with timed_out
+// set but never cached, because a wall-clock truncation is not the
+// deterministic full-search answer the fingerprint promises.
+func (s *Server) run(ctx context.Context, fp string, prob flexflow.Problem, algorithm string, opts flexflow.OptimizeOptions) (*optimizeResponse, int, error) {
 	opt, err := flexflow.GetOptimizer(algorithm)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -348,7 +344,7 @@ func (s *Server) run(ctx context.Context, fp string, store bool, prob flexflow.P
 		resp.TimedOut = true
 		return resp, http.StatusOK, nil
 	}
-	if store && s.cache != nil {
+	if s.cache != nil {
 		s.cache.put(fp, *resp)
 	}
 	return resp, http.StatusOK, nil

@@ -44,8 +44,25 @@ func (blockingOptimizer) Optimize(ctx context.Context, p flexflow.Problem, o fle
 	}, ctx.Err()
 }
 
+// panicRelease gates the "panictest" optimizer: it blocks until the
+// channel closes, then panics, so a test can coalesce waiters onto the
+// doomed job first.
+var panicRelease chan struct{}
+
+// panickingOptimizer is a test-only optimizer that breaks the Optimizer
+// contract in the worst way: it panics instead of returning.
+type panickingOptimizer struct{}
+
+func (panickingOptimizer) Name() string { return "panictest" }
+
+func (panickingOptimizer) Optimize(ctx context.Context, p flexflow.Problem, o flexflow.OptimizeOptions) (flexflow.Result, error) {
+	<-panicRelease
+	panic("panictest: optimizer bug")
+}
+
 func init() {
 	flexflow.RegisterOptimizer("blocktest", func() flexflow.Optimizer { return blockingOptimizer{} })
+	flexflow.RegisterOptimizer("panictest", func() flexflow.Optimizer { return panickingOptimizer{} })
 }
 
 // optBody builds a small real request: lenet/16 on 2 GPUs, few enough
@@ -450,6 +467,62 @@ func TestCoalesce(t *testing.T) {
 	}
 	if coalesced != 1 {
 		t.Fatalf("%d replies marked coalesced, want 1", coalesced)
+	}
+}
+
+// TestOptimizerPanicIsolated pins panic isolation: a panicking
+// optimizer answers its leader and a coalesced waiter with 500, caches
+// nothing, bumps jobs_panicked_total, and gives back its admission slot
+// and drain WaitGroup entry, so the next request on a one-slot server
+// is served and Drain returns at once.
+func TestOptimizerPanicIsolated(t *testing.T) {
+	panicRelease = make(chan struct{})
+	srv := New(Options{MaxInflight: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	statuses := make(chan int, 2)
+	post := func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(optBody("panictest", 1, "")))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go post()
+	waitMetric(t, ts, "flexflowd_jobs_inflight", 1)
+	go post()
+	// The joiner's cache miss comes just before it coalesces onto the
+	// running job, which stays registered until the release below.
+	waitMetric(t, ts, "flexflowd_cache_misses_total", 2)
+	close(panicRelease)
+	for i := 0; i < 2; i++ {
+		if got := <-statuses; got != http.StatusInternalServerError {
+			t.Fatalf("reply %d: status %d, want 500", i, got)
+		}
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_total"); n != 1 {
+		t.Fatalf("jobs_total = %g, want 1 (the waiter must coalesce)", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_jobs_panicked_total"); n != 1 {
+		t.Fatalf("jobs_panicked_total = %g, want 1", n)
+	}
+	if n := scrapeMetric(t, ts, "flexflowd_cache_entries"); n != 0 {
+		t.Fatalf("a panicked job was cached: entries = %g", n)
+	}
+	waitMetric(t, ts, "flexflowd_jobs_inflight", 0)
+
+	resp, out := postJSON(t, ts, optBody("mcmc", 1, ""))
+	if resp.StatusCode != http.StatusOK || len(out.Strategy) == 0 {
+		t.Fatalf("request after the panic: status %d, strategy %d bytes", resp.StatusCode, len(out.Strategy))
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatalf("drain after a panicked job: %v", err)
 	}
 }
 

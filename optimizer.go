@@ -35,8 +35,8 @@ type OptimizeOptions struct {
 	// (0 = the algorithm's default).
 	MaxIters int
 	// Budget caps MCMC search time per chain in deterministic virtual
-	// time: proposals are priced by the active cost model (Cost, the
-	// profile installed via SetCostProfile, or the built-in defaults),
+	// time: proposals are priced by the profile installed via
+	// SetCostProfile, or the built-in defaults when none is installed,
 	// so a budgeted run executes a fixed proposal count and replays
 	// exactly (0 = none). Wall-clock limits belong to the context —
 	// pass a context.WithTimeout/WithDeadline context to Optimize.
@@ -81,13 +81,6 @@ type OptimizeOptions struct {
 	// with an error. Ignored in FullSim mode and by the non-MCMC
 	// algorithms.
 	Locality string
-	// Cost explicitly prices proposals for the virtual-time Budget,
-	// overriding the installed cost profile (see SetCostProfile). Nil
-	// uses the profile installed process-wide, falling back to the
-	// built-in order-of-magnitude defaults. It sits at the top of the
-	// cost precedence chain: built-in defaults → installed profile →
-	// per-model override → this field.
-	Cost CostModel
 	// OnEvent, when non-nil, streams progress: best-so-far cost,
 	// proposal/episode count and the emitting chain id, as the search
 	// runs. Called concurrently from optimizer goroutines — the
@@ -235,7 +228,6 @@ func (mcmcOptimizer) Optimize(ctx context.Context, p Problem, o OptimizeOptions)
 		return Result{Algorithm: "mcmc"}, err
 	}
 	opts.Locality = loc
-	opts.Cost = o.Cost
 	opts.OnEvent = o.OnEvent
 	var initials []*Strategy
 	if o.Initial != nil {

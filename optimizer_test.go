@@ -290,8 +290,7 @@ func ExampleCalibrate() {
 }
 
 // ExampleSetCostProfile installs a cost profile process-wide: every
-// budgeted search whose OptimizeOptions.Cost is nil prices proposals
-// through it from then on (in practice the profile comes from
+// budgeted search prices proposals through it from then on (in practice the profile comes from
 // Calibrate or LoadCostProfile). For a fixed profile, budgeted runs
 // stay bit-identical across invocations and pool sizes.
 func ExampleSetCostProfile() {
