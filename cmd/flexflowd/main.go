@@ -45,7 +45,7 @@ func main() {
 		maxInflight    = flag.Int("max-inflight", 4, "max concurrently running searches; beyond it requests get 429")
 		defaultTimeout = flag.Duration("default-timeout", time.Minute, "search deadline for requests that set no timeout_ms")
 		maxTimeout     = flag.Duration("max-timeout", 10*time.Minute, "upper clamp on per-request deadlines")
-		cacheSize      = flag.Int("cache-size", 256, "strategy cache entries (0 default, negative disables)")
+		cacheSize      = flag.Int("cache-size", 256, "strategy cache entries, and body-digest index entries (0 default, negative disables)")
 		workers        = flag.Int("workers", 0, "size of the process-wide worker pool (0 = all CPUs)")
 		costProfile    = flag.String("cost-profile", "", "fitted cost profile JSON to price virtual-time budgets (see flexflow -calibrate)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long running searches get to finish on shutdown")

@@ -3,65 +3,95 @@ package server
 import (
 	"container/list"
 	"sync"
+
+	"flexflow"
 )
 
-// lruCache is the strategy cache: fingerprint -> finished optimize
-// response, bounded by entry count with least-recently-used eviction.
-// Entries are small (a strategy JSON plus counters), so a count bound
-// is an adequate proxy for memory. Only complete, deterministic
-// results are stored (see Server.run), which is what entitles a hit to
-// stand in for a re-run.
-type lruCache struct {
+// lruCache is a map bounded by entry count with least-recently-used
+// eviction. The server keeps two, both bounded by Options.CacheSize:
+// the strategy cache (fingerprint -> finished optimize response) and,
+// in front of it, the digest index (request-body digest ->
+// fingerprint). Entries are small (a strategy JSON, its encoded
+// response and counters, or a fingerprint), so a count bound is an
+// adequate proxy for memory. Only complete, deterministic results
+// enter the strategy cache (see Server.run), which is what entitles a
+// hit to stand in for a re-run.
+type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[K]*list.Element
 }
 
 // lruEntry is one cache slot.
-type lruEntry struct {
-	key string
-	val optimizeResponse
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
 // newLRUCache builds a cache bounded to max entries (max >= 1).
-func newLRUCache(max int) *lruCache {
-	return &lruCache{max: max, ll: list.New(), items: map[string]*list.Element{}}
+func newLRUCache[K comparable, V any](max int) *lruCache[K, V] {
+	return &lruCache[K, V]{max: max, ll: list.New(), items: map[K]*list.Element{}}
 }
 
-// get returns the cached response for key and marks it recently used.
-func (c *lruCache) get(key string) (optimizeResponse, bool) {
+// get returns the value cached under key and marks it recently used.
+func (c *lruCache[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return optimizeResponse{}, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put stores a response under key, evicting the least recently used
-// entry beyond the bound.
-func (c *lruCache) put(key string, val optimizeResponse) {
+// put stores val under key, evicting the least recently used entry
+// beyond the bound.
+func (c *lruCache[K, V]) put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
+		el.Value.(*lruEntry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
 // len reports the current entry count.
-func (c *lruCache) len() int {
+func (c *lruCache[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// cacheEntry is one strategy-cache value: a finished search's response
+// marked cached, and the plain-JSON body a hit answers with. The body
+// is encoded once, when the entry is stored, by the encoder writeJSON
+// uses, so it is byte for byte what writeJSON would write for resp.
+type cacheEntry struct {
+	resp optimizeResponse
+	body []byte
+}
+
+// newCacheEntry builds the cache entry for a complete search's response.
+func newCacheEntry(resp optimizeResponse) cacheEntry {
+	resp.Cached = true
+	return cacheEntry{resp: resp, body: encodeJSON(resp)}
+}
+
+// digestEntry is one digest-index value: the fingerprint a request body
+// decoded to, and the cost profile installed when it did. A budgeted
+// request's fingerprint hashes the installed profile, so a lookup made
+// under any other profile is a miss.
+type digestEntry struct {
+	fp      string
+	profile *flexflow.CostProfile
 }

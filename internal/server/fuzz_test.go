@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"flexflow"
@@ -11,11 +9,12 @@ import (
 )
 
 // FuzzDecodeRequest holds the optimize request decoder to two outcomes:
-// a clean error (a 400), or a request whose graph, topology and initial
-// strategy round-trip through export, and whose fingerprint the
-// re-imported problem reproduces. The seeds name every zoo model and
-// inline every zoo model's export, so plain `go test` replays them as
-// regression cases.
+// a clean error (a 400), or a request that decodes from the same bytes
+// to the same fingerprint every time (what the digest index relies on)
+// and whose graph, topology and initial strategy round-trip through
+// export, with a fingerprint the re-imported problem reproduces. The
+// seeds name every zoo model and inline every zoo model's export, so
+// plain `go test` replays them as regression cases.
 func FuzzDecodeRequest(f *testing.F) {
 	topo := flexflow.NewSingleNode(2, "P100")
 	topoData, err := flexflow.ExportTopology(topo)
@@ -51,10 +50,16 @@ func FuzzDecodeRequest(f *testing.F) {
 
 	s := New(Options{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := httptest.NewRequest("POST", "/v1/optimize", bytes.NewReader(body))
-		req, err := s.decodeRequest(httptest.NewRecorder(), r)
+		req, err := s.decodeRequest(body)
 		if err != nil {
 			return
+		}
+		again, err := s.decodeRequest(body)
+		if err != nil {
+			t.Fatalf("second decode of the same bytes failed: %v", err)
+		}
+		if again.fp != req.fp {
+			t.Fatalf("the same bytes decode to fingerprints %s and %s", req.fp, again.fp)
 		}
 		gData, err := flexflow.ExportGraph(req.prob.Graph)
 		if err != nil {

@@ -19,9 +19,11 @@ type metrics struct {
 	rejected  atomic.Int64
 	panicked  atomic.Int64
 	// cacheHits / cacheMisses count cache lookups (requests with
-	// no_cache perform no lookup).
+	// no_cache perform no lookup); digestHits counts the hits answered
+	// from the digest index, without decoding the request.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	digestHits  atomic.Int64
 	// proposals and searchNS accumulate every finished search's work;
 	// their ratio is the served proposal throughput.
 	proposals atomic.Int64
@@ -46,6 +48,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flexflowd_jobs_rejected_total %d\n", s.met.rejected.Load())
 	fmt.Fprintf(w, "flexflowd_jobs_panicked_total %d\n", s.met.panicked.Load())
 	fmt.Fprintf(w, "flexflowd_cache_hits_total %d\n", s.met.cacheHits.Load())
+	fmt.Fprintf(w, "flexflowd_cache_digest_hits_total %d\n", s.met.digestHits.Load())
 	fmt.Fprintf(w, "flexflowd_cache_misses_total %d\n", s.met.cacheMisses.Load())
 	fmt.Fprintf(w, "flexflowd_cache_entries %d\n", entries)
 	fmt.Fprintf(w, "flexflowd_proposals_total %d\n", proposals)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -100,11 +101,21 @@ type request struct {
 // the zoo's largest models are well under this.
 const maxRequestBytes = 16 << 20
 
-// decodeRequest parses and validates the POST /v1/optimize body into a
-// runnable request. All errors are client errors (400).
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request, error) {
+// maxDevices bounds the devices (GPUs and host CPUs) of any topology a
+// request describes: a "gpus" node, a "cluster" of "nodes", or an
+// inline topology. Building a topology costs links quadratic and
+// Validate's route build cubic in its device count, so the bound is
+// checked before anything is built. It sits well above the paper's
+// largest cluster (16 nodes: 64 GPUs, 80 devices).
+const maxDevices = 256
+
+// decodeRequest parses and validates a POST /v1/optimize body into a
+// runnable request. Its fingerprint depends on nothing but the body and
+// the installed cost profile, which is what lets the digest index key
+// it by the body's digest. All errors are client errors (400).
+func (s *Server) decodeRequest(body []byte) (*request, error) {
 	var wire optimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
@@ -211,6 +222,12 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 		if nodes <= 0 {
 			nodes = 1
 		}
+		// A node of either built-in cluster is four GPUs and a host CPU.
+		const nodeDevices = 5
+		if nodes > maxDevices/nodeDevices {
+			return nil, fmt.Errorf("cluster of %d nodes exceeds the %d-device limit (%d devices per node)",
+				nodes, maxDevices, nodeDevices)
+		}
 		switch wire.Cluster {
 		case "p100":
 			return flexflow.NewP100Cluster(nodes), nil
@@ -220,23 +237,46 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 			return nil, fmt.Errorf("unknown cluster %q (have p100, k80)", wire.Cluster)
 		}
 	case wire.GPUs > 0:
+		if wire.GPUs >= maxDevices {
+			return nil, fmt.Errorf("%d GPUs and a host CPU exceed the %d-device limit", wire.GPUs, maxDevices)
+		}
 		model := wire.GPUModel
 		if model == "" {
 			model = "P100"
 		}
 		return flexflow.NewSingleNode(wire.GPUs, model), nil
 	default:
+		// Count the devices before ImportTopology builds and validates
+		// them; a payload that does not parse this far fails there.
+		var probe struct {
+			Devices []struct{} `json:"devices"`
+		}
+		if json.Unmarshal(wire.Topology, &probe) == nil && len(probe.Devices) > maxDevices {
+			return nil, fmt.Errorf("inline topology has %d devices; the limit is %d", len(probe.Devices), maxDevices)
+		}
 		return flexflow.ImportTopology(wire.Topology)
 	}
 }
 
-// writeJSON writes v as a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// encodeJSON encodes v as an indented JSON response body.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeJSON writes v as a JSON response with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
+}
+
+// writeBody writes an encoded JSON response with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // writeError writes a JSON {"error": ...} body with the given status.

@@ -8,13 +8,20 @@
 // fronts everything with a content-addressed strategy cache keyed by
 // flexflow.Fingerprint — the repo's determinism contract
 // (docs/CONCURRENCY.md) is what makes a cached strategy a faithful
-// stand-in for a re-run. docs/SERVER.md documents the endpoints,
-// payloads and knobs; cmd/flexflowd is the binary.
+// stand-in for a re-run. In front of that cache, an index from the
+// SHA-256 of a request body to its fingerprint answers a byte-identical
+// repeat without decoding the body: decoding depends only on the bytes
+// and the installed cost profile, which the index entry records.
+// Topologies are bounded to maxDevices before anything is built.
+// docs/SERVER.md documents the endpoints, payloads and knobs;
+// cmd/flexflowd is the binary.
 package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -38,9 +45,9 @@ type Options struct {
 	// MaxTimeout clamps the deadline a request may ask for (0 means
 	// 10 minutes).
 	MaxTimeout time.Duration
-	// CacheSize bounds the strategy cache's entry count; least
-	// recently used entries are evicted beyond it (0 means 256,
-	// negative disables caching).
+	// CacheSize bounds the strategy cache's entry count, and that of
+	// the digest index in front of it; least recently used entries are
+	// evicted beyond it (0 means 256, negative disables caching).
 	CacheSize int
 }
 
@@ -62,7 +69,13 @@ type Server struct {
 	mu      sync.Mutex
 	jobs    map[string]*job   // coalescable in-flight searches, by fingerprint
 	running map[*job]struct{} // every in-flight search, for Drain cancellation
-	cache   *lruCache
+
+	// cache is the strategy cache, by fingerprint; digests is the index
+	// in front of it, from the SHA-256 of a request body to the
+	// fingerprint that body decoded to. Both are nil when caching is
+	// disabled.
+	cache   *lruCache[string, cacheEntry]
+	digests *lruCache[[sha256.Size]byte, digestEntry]
 
 	met metrics
 }
@@ -89,7 +102,8 @@ func New(opts Options) *Server {
 		running: map[*job]struct{}{},
 	}
 	if size > 0 {
-		s.cache = newLRUCache(size)
+		s.cache = newLRUCache[string, cacheEntry](size)
+		s.digests = newLRUCache[[sha256.Size]byte, digestEntry](size)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -175,30 +189,51 @@ func (j *job) publish(ev flexflow.ProgressEvent) {
 	j.mu.Unlock()
 }
 
-// handleOptimize serves POST /v1/optimize: cache lookup, coalescing
-// onto an identical in-flight search, admission control, then either a
-// plain JSON response or an SSE stream depending on the Accept header.
+// handleOptimize serves POST /v1/optimize: the digest index, cache
+// lookup, coalescing onto an identical in-flight search, admission
+// control, then either a plain JSON response or an SSE stream depending
+// on the Accept header. A request the digest index cannot answer — an
+// unknown body, a fingerprint evicted from the cache or still being
+// searched, a no_cache request — takes the decode path.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	req, err := s.decodeRequest(w, r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	stream := wantsSSE(r)
 
-	if s.cache != nil && !req.wire.NoCache {
-		if resp, ok := s.cache.get(req.fp); ok {
+	var digest [sha256.Size]byte
+	if s.cache != nil {
+		digest = sha256.Sum256(body)
+		if e, ok := s.digestHit(digest); ok {
 			s.met.cacheHits.Add(1)
-			resp.Cached = true
-			if stream {
-				streamResult(w, resp)
-			} else {
-				writeJSON(w, http.StatusOK, resp)
-			}
+			s.met.digestHits.Add(1)
+			answerHit(w, e, stream)
+			return
+		}
+	}
+
+	profile := flexflow.ActiveCostProfile()
+	req, err := s.decodeRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
+	if s.cache != nil && !req.wire.NoCache {
+		// Index the body only if the profile it was fingerprinted under
+		// is the one its entry records.
+		if profile == flexflow.ActiveCostProfile() {
+			s.digests.put(digest, digestEntry{fp: req.fp, profile: profile})
+		}
+		if e, ok := s.cache.get(req.fp); ok {
+			s.met.cacheHits.Add(1)
+			answerHit(w, e, stream)
 			return
 		}
 		s.met.cacheMisses.Add(1)
@@ -248,6 +283,27 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	resp := *j.res
 	resp.Coalesced = coalesced
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// digestHit returns the cache entry for a request body known by its
+// digest: the entry of the fingerprint the same bytes decoded to under
+// the installed cost profile, if the strategy cache still holds it.
+func (s *Server) digestHit(digest [sha256.Size]byte) (cacheEntry, bool) {
+	d, ok := s.digests.get(digest)
+	if !ok || d.profile != flexflow.ActiveCostProfile() {
+		return cacheEntry{}, false
+	}
+	return s.cache.get(d.fp)
+}
+
+// answerHit answers a request from a cache entry: its pre-encoded body,
+// or a lone SSE result frame.
+func answerHit(w http.ResponseWriter, e cacheEntry, stream bool) {
+	if stream {
+		streamResult(w, e.resp)
+		return
+	}
+	writeBody(w, http.StatusOK, e.body)
 }
 
 // startJob launches one search on its own goroutine, detached from any
@@ -345,7 +401,7 @@ func (s *Server) run(ctx context.Context, fp string, prob flexflow.Problem, algo
 		return resp, http.StatusOK, nil
 	}
 	if s.cache != nil {
-		s.cache.put(fp, *resp)
+		s.cache.put(fp, newCacheEntry(*resp))
 	}
 	return resp, http.StatusOK, nil
 }

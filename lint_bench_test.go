@@ -226,3 +226,32 @@ func TestBenchPR10LocalityImproves(t *testing.T) {
 			uniform.Metrics[makespanMetric], uniform.Metrics[suffixMetric])
 	}
 }
+
+// TestBenchPR14DigestHitImproves pins the digest-index acceptance
+// criterion in the committed artifact: BENCH_pr14.json must show a
+// byte-identical repeat of a paper-scale inline nmt request
+// (BenchmarkServerOptimize/inline-cached, an HTTP round trip whose
+// client decodes the response) allocating at least 20x fewer times per
+// op than the in-file baseline, where every hit decoded the body, ran
+// ImportGraph and Fingerprint and re-encoded the response.
+func TestBenchPR14DigestHitImproves(t *testing.T) {
+	f, err := benchjson.Load("BENCH_pr14.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "BenchmarkServerOptimize/inline-cached"
+	base, ok := f.Baseline[name]
+	if !ok {
+		t.Fatalf("%s missing from baseline", name)
+	}
+	cur, ok := f.Benchmarks[name]
+	if !ok {
+		t.Fatalf("%s missing from benchmarks", name)
+	}
+	if base.AllocsPerOp <= 0 || cur.AllocsPerOp <= 0 {
+		t.Fatalf("%s: allocs/op not recorded (baseline %v, current %v) — run with -benchmem", name, base.AllocsPerOp, cur.AllocsPerOp)
+	}
+	if cur.AllocsPerOp*20 > base.AllocsPerOp {
+		t.Fatalf("%s: %v allocs/op is not a >=20x reduction of the baseline %v", name, cur.AllocsPerOp, base.AllocsPerOp)
+	}
+}
