@@ -136,6 +136,10 @@ func NewP100Cluster(nodes int) *Topology { return device.NewP100Cluster(nodes) }
 // NewK80Cluster builds the paper's K80 cluster (Figure 6b).
 func NewK80Cluster(nodes int) *Topology { return device.NewK80Cluster(nodes) }
 
+// ClusterNodeDevices is the device count of one node of NewP100Cluster
+// or NewK80Cluster: four GPUs and a host CPU.
+const ClusterNodeDevices = device.ClusterNodeDevices
+
 // NewEstimator returns the default performance model: a measuring
 // estimator (one measurement per distinct task signature, cached — the
 // paper's profiling flow) over the synthetic analytic device model.

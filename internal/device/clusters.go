@@ -25,6 +25,13 @@ const (
 	ibLat     = 15 * time.Microsecond
 )
 
+// ClusterNodeDevices is the device count of one node of either built-in
+// cluster (NewP100Cluster, NewK80Cluster): its GPUs and a host CPU.
+const ClusterNodeDevices = nodeGPUs + 1
+
+// nodeGPUs is the GPU count of one node of either built-in cluster.
+const nodeGPUs = 4
+
 // NewP100Cluster reproduces the first cluster of Figure 6: nodes compute
 // nodes, each with four P100 GPUs pairwise connected by NVLink on the
 // same node, a host CPU, and 100 Gb/s EDR Infiniband between nodes.
@@ -32,8 +39,8 @@ func NewP100Cluster(nodes int) *Topology {
 	t := NewTopology("p100-cluster")
 	cpus := make([]int, nodes)
 	for n := 0; n < nodes; n++ {
-		gpus := make([]int, 4)
-		for g := 0; g < 4; g++ {
+		gpus := make([]int, nodeGPUs)
+		for g := 0; g < nodeGPUs; g++ {
 			gpus[g] = t.AddDevice(Device{
 				Kind: GPU, Name: deviceName("p100", n, g), Node: n,
 				Model: "P100", PeakGFLOPS: p100GFLOPS, MemBWGBs: p100MemBW, MemGB: 16,
@@ -44,13 +51,13 @@ func NewP100Cluster(nodes int) *Topology {
 			Model: "E5-2600", PeakGFLOPS: 600, MemBWGBs: 75,
 		})
 		// NVLink mesh between the four GPUs of a node.
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
+		for i := 0; i < nodeGPUs; i++ {
+			for j := i + 1; j < nodeGPUs; j++ {
 				t.AddLink(NVLink, gpus[i], gpus[j], nvlinkBW, nvlinkLat)
 			}
 		}
 		// Each GPU also hangs off the host CPU via PCI-e.
-		for i := 0; i < 4; i++ {
+		for i := 0; i < nodeGPUs; i++ {
 			t.AddLink(PCIe, gpus[i], cpus[n], pcieBW, pcieLat)
 		}
 	}
@@ -73,8 +80,8 @@ func NewK80Cluster(nodes int) *Topology {
 	t := NewTopology("k80-cluster")
 	cpus := make([]int, nodes)
 	for n := 0; n < nodes; n++ {
-		gpus := make([]int, 4)
-		for g := 0; g < 4; g++ {
+		gpus := make([]int, nodeGPUs)
+		for g := 0; g < nodeGPUs; g++ {
 			gpus[g] = t.AddDevice(Device{
 				Kind: GPU, Name: deviceName("k80", n, g), Node: n,
 				Model: "K80", PeakGFLOPS: k80GFLOPS, MemBWGBs: k80MemBW, MemGB: 12,
@@ -88,7 +95,7 @@ func NewK80Cluster(nodes int) *Topology {
 		t.AddLink(PCIe, gpus[0], gpus[1], pcieBW, pcieLat)
 		t.AddLink(PCIe, gpus[2], gpus[3], pcieBW, pcieLat)
 		// Shared switch to the host: slower effective bandwidth.
-		for i := 0; i < 4; i++ {
+		for i := 0; i < nodeGPUs; i++ {
 			t.AddLink(PCIe, gpus[i], cpus[n], pcieShared, pcieLat)
 		}
 	}

@@ -120,6 +120,9 @@ func TestP100ClusterShape(t *testing.T) {
 	if topo.NumDevices() != 20 { // 16 GPUs + 4 CPUs
 		t.Fatalf("NumDevices = %d, want 20", topo.NumDevices())
 	}
+	if topo.NumDevices() != 4*ClusterNodeDevices {
+		t.Fatalf("NumDevices = %d, want %d", topo.NumDevices(), 4*ClusterNodeDevices)
+	}
 	if err := topo.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -149,6 +152,9 @@ func TestK80ClusterAsymmetry(t *testing.T) {
 	topo := NewK80Cluster(2)
 	if got := len(topo.GPUs()); got != 8 {
 		t.Fatalf("K80 cluster GPUs = %d, want 8", got)
+	}
+	if topo.NumDevices() != 2*ClusterNodeDevices {
+		t.Fatalf("NumDevices = %d, want %d", topo.NumDevices(), 2*ClusterNodeDevices)
 	}
 	gpus := topo.GPUs()
 	adj := topo.Route(gpus[0], gpus[1])    // dedicated switch

@@ -74,17 +74,26 @@ func (c *lruCache[K, V]) len() int {
 
 // cacheEntry is one strategy-cache value: a finished search's response
 // marked cached, and the plain-JSON body a hit answers with. The body
-// is encoded once, when the entry is stored, by the encoder writeJSON
-// uses, so it is byte for byte what writeJSON would write for resp.
+// is encoded on the first plain-JSON hit, by the encoder writeJSON
+// uses, so it is byte for byte what writeJSON would write for resp; a
+// search that is never repeated never pays for it, and neither does the
+// request that ran the search.
 type cacheEntry struct {
 	resp optimizeResponse
+	once sync.Once
 	body []byte
 }
 
 // newCacheEntry builds the cache entry for a complete search's response.
-func newCacheEntry(resp optimizeResponse) cacheEntry {
+func newCacheEntry(resp optimizeResponse) *cacheEntry {
 	resp.Cached = true
-	return cacheEntry{resp: resp, body: encodeJSON(resp)}
+	return &cacheEntry{resp: resp}
+}
+
+// encoded returns the entry's plain-JSON body, encoding it on first use.
+func (e *cacheEntry) encoded() []byte {
+	e.once.Do(func() { e.body = encodeJSON(e.resp) })
+	return e.body
 }
 
 // digestEntry is one digest-index value: the fingerprint a request body

@@ -250,6 +250,35 @@ func TestDigestIndexBounded(t *testing.T) {
 	check()
 }
 
+// TestCacheBodyEncodedOnFirstHit keeps the miss path free of the hit
+// body's encoding: a search stores its entry unencoded, an SSE hit
+// leaves it so, and the first plain-JSON hit encodes it once for every
+// later one.
+func TestCacheBodyEncodedOnFirstHit(t *testing.T) {
+	s := New(Options{})
+	body := []byte(optBody("mcmc", 1, ""))
+	w := sendAndCount(t, s, body, false, delta{misses: 1, jobs: 1})
+	var resp optimizeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.cache.get(resp.Fingerprint)
+	if !ok {
+		t.Fatal("the search stored no cache entry")
+	}
+	if e.body != nil {
+		t.Fatal("the search encoded the hit body")
+	}
+	sendAndCount(t, s, body, true, delta{hits: 1, digestHits: 1})
+	if e.body != nil {
+		t.Fatal("an SSE hit encoded the plain-JSON body")
+	}
+	hit := sendAndCount(t, s, body, false, delta{hits: 1, digestHits: 1})
+	if !bytes.Equal(hit.Body.Bytes(), e.body) {
+		t.Fatalf("the first plain hit answered\n%s\nbut stored\n%s", hit.Body, e.body)
+	}
+}
+
 // TestDigestHitAllocs bounds the allocations of a digest hit on a
 // paper-scale inline graph (nmt, a ~57KB body) through ServeHTTP,
 // request and recorder included: no decode, ImportGraph, Fingerprint or
@@ -308,10 +337,7 @@ func TestDeviceBound(t *testing.T) {
 		return `"topology":` + string(data)
 	}
 	lenet := `{"model":"lenet","scale":16,%s}`
-	maxNodes := maxDevices / len(flexflow.NewK80Cluster(1).Devices)
-	if p100 := maxDevices / len(flexflow.NewP100Cluster(1).Devices); p100 != maxNodes {
-		t.Fatalf("the built-in clusters' nodes differ in size: %d vs %d nodes fit", p100, maxNodes)
-	}
+	maxNodes := maxDevices / flexflow.ClusterNodeDevices
 	rejected := map[string]string{
 		"gpus":    `"gpus":100000`,
 		"nodes":   `"cluster":"p100","nodes":100000`,

@@ -101,6 +101,17 @@ type request struct {
 // the zoo's largest models are well under this.
 const maxRequestBytes = 16 << 20
 
+// readBody reads an optimize request body whole, bounded by
+// maxRequestBytes, into one buffer sized by its Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	return buf.Bytes(), err
+}
+
 // maxDevices bounds the devices (GPUs and host CPUs) of any topology a
 // request describes: a "gpus" node, a "cluster" of "nodes", or an
 // inline topology. Building a topology costs links quadratic and
@@ -222,11 +233,9 @@ func buildTopology(wire *optimizeRequest) (*flexflow.Topology, error) {
 		if nodes <= 0 {
 			nodes = 1
 		}
-		// A node of either built-in cluster is four GPUs and a host CPU.
-		const nodeDevices = 5
-		if nodes > maxDevices/nodeDevices {
+		if nodes > maxDevices/flexflow.ClusterNodeDevices {
 			return nil, fmt.Errorf("cluster of %d nodes exceeds the %d-device limit (%d devices per node)",
-				nodes, maxDevices, nodeDevices)
+				nodes, maxDevices, flexflow.ClusterNodeDevices)
 		}
 		switch wire.Cluster {
 		case "p100":

@@ -21,7 +21,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -74,7 +73,7 @@ type Server struct {
 	// in front of it, from the SHA-256 of a request body to the
 	// fingerprint that body decoded to. Both are nil when caching is
 	// disabled.
-	cache   *lruCache[string, cacheEntry]
+	cache   *lruCache[string, *cacheEntry]
 	digests *lruCache[[sha256.Size]byte, digestEntry]
 
 	met metrics
@@ -102,7 +101,7 @@ func New(opts Options) *Server {
 		running: map[*job]struct{}{},
 	}
 	if size > 0 {
-		s.cache = newLRUCache[string, cacheEntry](size)
+		s.cache = newLRUCache[string, *cacheEntry](size)
 		s.digests = newLRUCache[[sha256.Size]byte, digestEntry](size)
 	}
 	s.mux = http.NewServeMux()
@@ -200,7 +199,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
@@ -288,22 +287,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // digestHit returns the cache entry for a request body known by its
 // digest: the entry of the fingerprint the same bytes decoded to under
 // the installed cost profile, if the strategy cache still holds it.
-func (s *Server) digestHit(digest [sha256.Size]byte) (cacheEntry, bool) {
+func (s *Server) digestHit(digest [sha256.Size]byte) (*cacheEntry, bool) {
 	d, ok := s.digests.get(digest)
 	if !ok || d.profile != flexflow.ActiveCostProfile() {
-		return cacheEntry{}, false
+		return nil, false
 	}
 	return s.cache.get(d.fp)
 }
 
-// answerHit answers a request from a cache entry: its pre-encoded body,
-// or a lone SSE result frame.
-func answerHit(w http.ResponseWriter, e cacheEntry, stream bool) {
+// answerHit answers a request from a cache entry: its encoded body, or a
+// lone SSE result frame.
+func answerHit(w http.ResponseWriter, e *cacheEntry, stream bool) {
 	if stream {
 		streamResult(w, e.resp)
 		return
 	}
-	writeBody(w, http.StatusOK, e.body)
+	writeBody(w, http.StatusOK, e.encoded())
 }
 
 // startJob launches one search on its own goroutine, detached from any

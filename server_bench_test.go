@@ -7,7 +7,12 @@
 // the two is what the cache buys a repeat caller. "inline-cached"
 // repeats a paper-scale nmt graph sent inline (a ~57KB body) on 4 GPUs:
 // the server answers it from the digest of the body, without decoding
-// the graph or fingerprinting the problem again.
+// the graph or fingerprinting the problem again. "inline-cached-varied"
+// sends the same problem with a different timeout_ms on every repeat: a
+// deadline is not part of the fingerprint, so each repeat is a strategy
+// cache hit whose bytes match no earlier body. It pays the decode path
+// plus the digest index's read, hash and insert, and gets nothing back
+// from the index.
 package flexflow_test
 
 import (
@@ -16,6 +21,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"flexflow"
@@ -88,7 +94,9 @@ func BenchmarkServerOptimize(b *testing.B) {
 	}
 	b.Run("cached", func(b *testing.B) { cached(b, req(false)) })
 
-	b.Run("inline-cached", func(b *testing.B) {
+	// inline is the paper-scale nmt request on 4 GPUs up to its
+	// timeout_ms value, which withTimeout appends.
+	inline := func(b *testing.B) []byte {
 		g, err := flexflow.Model("nmt")
 		if err != nil {
 			b.Fatal(err)
@@ -97,13 +105,33 @@ func BenchmarkServerOptimize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		body, err := json.Marshal(map[string]any{
-			"graph": json.RawMessage(gdata), "gpus": 4,
-			"options": map[string]any{"max_iters": 20, "seed": 7, "timeout_ms": 60000},
-		})
-		if err != nil {
+		var buf bytes.Buffer
+		buf.WriteString(`{"gpus":4,"graph":`)
+		if err := json.Compact(&buf, gdata); err != nil {
 			b.Fatal(err)
 		}
-		cached(b, body)
+		buf.WriteString(`,"options":{"max_iters":20,"seed":7,"timeout_ms":`)
+		return buf.Bytes()
+	}
+	withTimeout := func(dst, prefix []byte, ms int) []byte {
+		dst = append(append(dst[:0], prefix...), strconv.Itoa(ms)...)
+		return append(dst, "}}"...)
+	}
+	b.Run("inline-cached", func(b *testing.B) {
+		cached(b, withTimeout(nil, inline(b), 60000))
+	})
+	b.Run("inline-cached-varied", func(b *testing.B) {
+		prefix := inline(b)
+		ts := httptest.NewServer(server.New(server.Options{}))
+		defer ts.Close()
+		body := withTimeout(nil, prefix, 60000)
+		benchServerPost(b, ts, body) // prime the cache with the one real search
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = withTimeout(body, prefix, 60001+i)
+			if !benchServerPost(b, ts, body) {
+				b.Fatal("repeat with another deadline re-ran the search")
+			}
+		}
 	})
 }
